@@ -21,7 +21,13 @@ from ..graph.graph import Graph
 from ..memory.base import AccessKind, AccessPattern
 from ..model.preprocessing import hyve_preprocessing_time
 from .config import HyVEConfig, Workload, choose_num_intervals
-from .machine import FOOTPRINT_SLACK, AcceleratorMachine
+from .machine import (
+    FOOTPRINT_SLACK,
+    MIN_EDGE_CHIPS_PER_RANK,
+    MIN_VERTEX_CHIPS,
+    AcceleratorMachine,
+    sized_memory,
+)
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,6 @@ def initialization_cost(
     if isinstance(workload, Graph):
         workload = Workload(workload)
     config = config or HyVEConfig()
-    machine = AcceleratorMachine(config)
     run = run_cached(algorithm, workload.graph)
 
     edges = run.edges_per_iteration * workload.edge_scale
@@ -66,8 +71,12 @@ def initialization_cost(
     edge_bits = edges * run.edge_bits * FOOTPRINT_SLACK
     vertex_bits = vertices * run.vertex_bits * FOOTPRINT_SLACK
 
-    edge_dev, edge_chips = machine._edge_device(edge_bits)
-    vertex_dev, vertex_chips = machine._vertex_device(vertex_bits)
+    edge_dev, _, edge_chips = sized_memory(
+        config, config.edge_memory, edge_bits, MIN_EDGE_CHIPS_PER_RANK
+    )
+    vertex_dev, _, vertex_chips = sized_memory(
+        config, config.offchip_vertex, vertex_bits, MIN_VERTEX_CHIPS
+    )
 
     edge_write = edge_dev.transfer_cost(
         AccessKind.WRITE, edge_bits, AccessPattern.SEQUENTIAL

@@ -10,7 +10,10 @@ execution time — the decomposition of Fig. 8 / Equations (1)-(2).
 One machine class covers every accelerator configuration of Fig. 16
 (acc+DRAM, acc+ReRAM, acc+SRAM+DRAM, acc+HyVE, acc+HyVE-opt): the
 configuration selects the technology at each level and the two
-optimisations; the folding logic is shared.
+optimisations.  :func:`fold_many` is the one pricing kernel: a single
+run is a one-config grid, and fault profiles enter as per-config
+unit-cost columns and chip counts (:func:`provision`).  The scalar
+reference it is checked against lives in :mod:`repro.verify.reference`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +38,11 @@ from ..faults.resilience import (
     write_give_up_probability,
 )
 from ..graph.graph import Graph
-from ..memory.base import AccessCost, AccessKind, AccessPattern, MemoryDevice
-from ..memory.dram import DDR4Chip
+from ..memory.base import AccessKind, AccessPattern, MemoryDevice
+from ..memory.dram import DDR4Chip, DRAMConfig
 from ..memory.ecc import SECDEDDevice, secded_factor, secded_logic_energy
 from ..memory.powergate import BankPowerGating, GatingReport
-from ..memory.reram import ReRAMChip
+from ..memory.reram import ReRAMChip, ReRAMConfig
 from ..memory.sram import OnChipSRAM
 from ..obs import metrics as obs_metrics
 from ..obs.trace import get_tracer
@@ -101,32 +105,6 @@ class AcceleratorMachine:
     def label(self) -> str:
         return self.config.label
 
-    # --- device construction ------------------------------------------------
-
-    def _edge_device(self, footprint_bits: float) -> tuple[MemoryDevice, int]:
-        cfg = self.config
-        if cfg.edge_memory == MemoryTechnology.RERAM:
-            device: MemoryDevice = ReRAMChip(cfg.reram)
-            density = cfg.reram.density_bits
-        else:
-            device = DDR4Chip(cfg.dram)
-            density = cfg.dram.density_bits
-        chips = max(MIN_EDGE_CHIPS_PER_RANK,
-                    math.ceil(footprint_bits / density))
-        return device, chips
-
-    def _vertex_device(self, footprint_bits: float) -> tuple[MemoryDevice, int]:
-        cfg = self.config
-        if cfg.offchip_vertex == MemoryTechnology.RERAM:
-            device: MemoryDevice = ReRAMChip(cfg.reram)
-            density = cfg.reram.density_bits
-        else:
-            device = DDR4Chip(cfg.dram)
-            density = cfg.dram.density_bits
-        chips = max(MIN_VERTEX_CHIPS,
-                    math.ceil(footprint_bits / density))
-        return device, chips
-
     # --- main entry ---------------------------------------------------------
 
     def run(
@@ -134,7 +112,12 @@ class AcceleratorMachine:
         algorithm: EdgeCentricAlgorithm,
         workload: Workload | Graph,
     ) -> SimulationResult:
-        """Execute ``algorithm`` and model the machine's time and energy."""
+        """Execute ``algorithm`` and model the machine's time and energy.
+
+        The configuration is priced by :func:`fold_many` as a
+        one-config grid, so a single run and a batched sweep share one
+        pricing kernel.
+        """
         if isinstance(workload, Graph):
             workload = Workload(workload)
         tracer = get_tracer()
@@ -153,8 +136,13 @@ class AcceleratorMachine:
 
                 counts = scheduled_counts(run, workload, self.config)
             with tracer.span("fold"):
-                report, fault_report = self._fold(run, counts, workload)
-        return SimulationResult(report=report, run=run, faults=fault_report)
+                fault_reports: list[FaultReport | None] = []
+                [report] = fold_many(
+                    run, counts, workload, [self.config],
+                    faults=self.faults, fault_reports=fault_reports,
+                )
+        return SimulationResult(report=report, run=run,
+                                faults=fault_reports[0])
 
     def run_counts(
         self,
@@ -167,469 +155,72 @@ class AcceleratorMachine:
         run = run_cached(algorithm, workload.graph)
         return ScheduleCounts.compute(run, workload, self.config)
 
-    # --- folding -------------------------------------------------------------
 
-    def _fold(
-        self,
-        run: AlgorithmRun,
-        counts: ScheduleCounts,
-        workload: Workload,
-    ) -> tuple[EnergyReport, FaultReport | None]:
-        cfg = self.config
-        edge_footprint = (
-            counts.edges_total / counts.iterations
-        ) * counts.edge_bits * FOOTPRINT_SLACK
-        vertex_footprint = counts.vertices * counts.vertex_bits * FOOTPRINT_SLACK
-
-        edge_dev, edge_chips = self._edge_device(edge_footprint)
-        vertex_dev, vertex_chips = self._vertex_device(vertex_footprint)
-
-        # --- fault injection & resilience provisioning --------------------
-        # Every fault effect below is guarded on a non-zero profile; with
-        # faults disabled this whole section is skipped and the fold is
-        # bit-identical to the ideal-device model.
-        profile = self.faults
-        fault_active = profile is not None and not profile.is_zero
-        injector: FaultInjector | None = None
-        fault_report: FaultReport | None = None
-        sparing: BankSparingPlan | None = None
-        raw_edge_dev, raw_vertex_dev = edge_dev, vertex_dev
-        sram_ecc = 1.0
-        write_rounds = 1.0
-        if fault_active:
-            injector = FaultInjector(
-                profile,
-                tag=f"{cfg.label}|{run.algorithm}|{workload.name}",
-            )
-            fault_report = FaultReport(profile)
-            word_stats = injector.stuck_word_stats()
-            fault_report.corrected_word_fraction = (
-                word_stats.correctable_fraction
-            )
-            fault_report.remapped_word_fraction = (
-                word_stats.uncorrectable_fraction
-            )
-            reram_faulty = (
-                profile.effective_stuck_rate > 0
-                or profile.bank_failure_rate > 0
-            )
-            if cfg.edge_memory == MemoryTechnology.RERAM:
-                failed = injector.sample_failed_banks(
-                    edge_chips * cfg.reram.num_banks
-                )
-                sparing, edge_chips = BankSparingPlan.build(
-                    footprint_bits=edge_footprint,
-                    chips=edge_chips,
-                    banks_per_chip=cfg.reram.num_banks,
-                    bank_capacity_bits=cfg.reram.bank_capacity_bits,
-                    density_bits=cfg.reram.density_bits,
-                    failed_banks=failed,
-                    bad_word_fraction=word_stats.uncorrectable_fraction,
-                )
-                fault_report.failed_banks = failed
-                fault_report.spare_chips = sparing.spare_chips
-                fault_report.capacity_loss_fraction = (
-                    sparing.capacity_loss_fraction
-                )
-                fault_report.stuck_cells = injector.sample_stuck_cells(
-                    edge_chips * cfg.reram.density_bits
-                )
-            if (cfg.edge_memory == MemoryTechnology.RERAM and reram_faulty) or (
-                cfg.edge_memory == MemoryTechnology.DRAM
-                and profile.dram_upset_rate > 0
-            ):
-                edge_dev = SECDEDDevice(edge_dev)
-            if (
-                cfg.offchip_vertex == MemoryTechnology.RERAM and reram_faulty
-            ) or (
-                cfg.offchip_vertex == MemoryTechnology.DRAM
-                and profile.dram_upset_rate > 0
-            ):
-                vertex_dev = SECDEDDevice(vertex_dev)
-            if cfg.has_onchip and profile.sram_upset_rate > 0:
-                sram_ecc = secded_factor()
-            if profile.reram_write_fail_rate > 0:
-                write_rounds = expected_write_rounds(
-                    profile.reram_write_fail_rate, WRITE_RETRY_BOUND
-                )
-                fault_report.expected_write_rounds = write_rounds
-                fault_report.write_give_up_probability = (
-                    write_give_up_probability(
-                        profile.reram_write_fail_rate, WRITE_RETRY_BOUND
-                    )
-                )
-
-        sram = OnChipSRAM(cfg.sram_bits) if cfg.has_onchip else None
-        pu = ProcessingUnitModel(
-            sram_cycle=(
-                sram.point.read_latency
-                if sram is not None
-                else edge_dev.access_cost(
-                    AccessKind.READ, AccessPattern.RANDOM
-                ).latency / cfg.random_access_mlp
-            )
-        )
-        router = RouterModel(cfg.num_pus)
-
-        report = EnergyReport(
-            machine=cfg.label,
-            algorithm=run.algorithm,
-            graph=workload.name,
-            edges_traversed=counts.edges_total,
-            iterations=counts.iterations,
-            time=0.0,
-        )
-
-        # --- dynamic energy and busy times --------------------------------
-        edge_stream = edge_dev.transfer_cost(
-            AccessKind.READ, counts.edge_stream_bits, AccessPattern.SEQUENTIAL
-        )
-        seek_unit = edge_dev.access_cost(AccessKind.READ, AccessPattern.RANDOM)
-        seq_unit = edge_dev.access_cost(
-            AccessKind.READ, AccessPattern.SEQUENTIAL
-        )
-        seek_extra_latency = counts.block_seeks * max(
-            0.0, seek_unit.latency - seq_unit.latency
-        )
-        report.add(rpt.EDGE_MEMORY, edge_stream.energy)
-
-        load = vertex_dev.transfer_cost(
-            AccessKind.READ, counts.offchip_load_bits, AccessPattern.SEQUENTIAL
-        )
-        store = vertex_dev.transfer_cost(
-            AccessKind.WRITE, counts.offchip_store_bits,
-            AccessPattern.SEQUENTIAL,
-        )
-        # Machines without a scratchpad follow the same interval
-        # schedule, so their "random" vertex accesses land inside the
-        # active interval region: they hit open rows at region_hit_rate
-        # and move only a narrow burst (one 64-bit beat-pair), not the
-        # full 512-bit streaming access.
-        hit = cfg.region_hit_rate
-        rnd_read = _narrow_random_cost(vertex_dev, AccessKind.READ, hit)
-        rnd_write = _narrow_random_cost(vertex_dev, AccessKind.WRITE, hit)
-        # Write-verify retries multiply every ReRAM vertex write's energy
-        # and latency by the expected program-round count.
-        if write_rounds != 1.0 and cfg.offchip_vertex == MemoryTechnology.RERAM:
-            store = AccessCost(
-                store.latency * write_rounds, store.energy * write_rounds
-            )
-            rnd_write = AccessCost(
-                rnd_write.latency * write_rounds,
-                rnd_write.energy * write_rounds,
-            )
-        report.add(
-            rpt.OFFCHIP_VERTEX,
-            load.energy
-            + store.energy
-            + counts.random_read_ops * rnd_read.energy
-            + counts.random_write_ops * rnd_write.energy,
-        )
-
-        resil_energy = 0.0
-        if fault_report is not None:
-            if edge_dev is not raw_edge_dev:
-                resil_energy += (
-                    edge_stream.energy
-                    - raw_edge_dev.transfer_cost(
-                        AccessKind.READ,
-                        counts.edge_stream_bits,
-                        AccessPattern.SEQUENTIAL,
-                    ).energy
-                )
-            if vertex_dev is not raw_vertex_dev or (
-                write_rounds != 1.0
-                and cfg.offchip_vertex == MemoryTechnology.RERAM
-            ):
-                base_load = raw_vertex_dev.transfer_cost(
-                    AccessKind.READ,
-                    counts.offchip_load_bits,
-                    AccessPattern.SEQUENTIAL,
-                )
-                base_store = raw_vertex_dev.transfer_cost(
-                    AccessKind.WRITE,
-                    counts.offchip_store_bits,
-                    AccessPattern.SEQUENTIAL,
-                )
-                base_rnd_read = _narrow_random_cost(
-                    raw_vertex_dev, AccessKind.READ, hit
-                )
-                base_rnd_write = _narrow_random_cost(
-                    raw_vertex_dev, AccessKind.WRITE, hit
-                )
-                resil_energy += (
-                    (load.energy - base_load.energy)
-                    + (store.energy - base_store.energy)
-                    + counts.random_read_ops
-                    * (rnd_read.energy - base_rnd_read.energy)
-                    + counts.random_write_ops
-                    * (rnd_write.energy - base_rnd_write.energy)
-                )
-
-        if sram is not None:
-            read_unit = sram.access_cost(AccessKind.READ, AccessPattern.RANDOM)
-            write_unit = sram.access_cost(
-                AccessKind.WRITE, AccessPattern.RANDOM
-            )
-            onchip_energy = (
-                (counts.onchip_read_bits / sram.access_bits) * read_unit.energy
-                + (counts.onchip_write_bits / sram.access_bits)
-                * write_unit.energy
-            )
-            if sram_ecc != 1.0:
-                onchip_extra = onchip_energy * (
-                    sram_ecc - 1.0
-                ) + secded_logic_energy(
-                    counts.onchip_read_bits + counts.onchip_write_bits
-                )
-                onchip_energy += onchip_extra
-                resil_energy += onchip_extra
-            report.add(rpt.ONCHIP_VERTEX, onchip_energy)
-
-        report.add(
-            rpt.PROCESSING,
-            counts.pu_ops
-            * (pu.op_energy(run.algorithm) + params.PIPELINE_ENERGY_PER_EDGE),
-        )
-        report.add(
-            rpt.ROUTER,
-            router.transfer_energy(counts.router_words)
-            + router.reroute_energy(counts.reroute_events),
-        )
-        requests = (
-            counts.edge_stream_bits / edge_dev.access_bits
-            + counts.offchip_bits / vertex_dev.access_bits
-            + counts.random_read_ops
-            + counts.random_write_ops
-        )
-        report.add(
-            rpt.CONTROLLER, requests * params.CONTROLLER_REQUEST_ENERGY
-        )
-
-        # --- time ------------------------------------------------------------
-        t_stream = edge_stream.latency + seek_extra_latency
-        t_proc = (
-            counts.pu_ops
-            * pu.initiation_interval
-            * counts.imbalance
-            / cfg.num_pus
-        )
-        t_random_vertex = 0.0
-        if counts.random_read_ops or counts.random_write_ops:
-            t_random_vertex = (
-                counts.random_read_ops * rnd_read.latency
-                + counts.random_write_ops * rnd_write.latency
-            ) / min(cfg.random_access_mlp, cfg.num_pus)
-        t_step_overheads = counts.steps_total * (
-            params.SYNC_LATENCY + pu.pipeline_fill()
-        )
-        if cfg.data_sharing:
-            t_step_overheads += router.fill_latency(counts.steps_total)
-        t_processing_phase = (
-            max(t_stream, t_proc, t_random_vertex) + t_step_overheads
-        )
-        t_schedule = load.latency + store.latency
-
-        duration = t_processing_phase + t_schedule
-
-        # --- power gating (edge memory only, Section 4.1) -------------------
-        gating = GatingReport(0.0, 0, 0.0, 0.0)
-        if (
-            cfg.edge_memory == MemoryTechnology.RERAM
-            and cfg.power_gating.enabled
-        ):
-            gater = BankPowerGating(cfg.power_gating)
-            total_banks = edge_chips * cfg.reram.num_banks
-            active = (
-                1 if cfg.reram.subbank_interleaving else cfg.reram.num_banks
-            )
-            gating = gater.plan(
-                num_banks=total_banks,
-                active_banks=active,
-                streamed_bits=counts.edge_stream_bits,
-                bank_capacity_bits=cfg.reram.bank_capacity_bits,
-                duration=duration,
-                failed_banks=sparing.failed_banks if sparing else 0,
-                transition_factor=(
-                    sparing.transition_factor if sparing else 1.0
-                ),
-            )
-            duration += gating.overhead_time
-            report.add(rpt.EDGE_MEMORY, gating.overhead_energy)
-
-        report.time = duration
-
-        # --- background energy ------------------------------------------------
-        report.add(
-            rpt.EDGE_MEMORY_BG,
-            edge_chips
-            * edge_dev.background_energy(duration, gating.gated_fraction),
-        )
-        report.add(
-            rpt.OFFCHIP_VERTEX_BG,
-            vertex_chips * vertex_dev.background_energy(duration),
-        )
-        if sram is not None:
-            sram_bg = cfg.num_pus * sram.background_energy(duration)
-            if sram_ecc != 1.0:
-                resil_energy += sram_bg * (sram_ecc - 1.0)
-                sram_bg *= sram_ecc
-            report.add(rpt.ONCHIP_VERTEX_BG, sram_bg)
-        logic_power = (
-            cfg.num_pus * pu.leakage_power
-            + router.leakage_power
-            + params.CONTROLLER_POWER
-        )
-        report.add(rpt.LOGIC_BG, logic_power * duration)
-
-        # --- injected-fault accounting -------------------------------------
-        if fault_report is not None and injector is not None:
-            if edge_dev is not raw_edge_dev:
-                resil_energy += edge_chips * (
-                    edge_dev.background_energy(duration, gating.gated_fraction)
-                    - raw_edge_dev.background_energy(
-                        duration, gating.gated_fraction
-                    )
-                )
-            if vertex_dev is not raw_vertex_dev:
-                resil_energy += vertex_chips * (
-                    vertex_dev.background_energy(duration)
-                    - raw_vertex_dev.background_energy(duration)
-                )
-            if sparing is not None and sparing.spare_chips:
-                resil_energy += sparing.spare_chips * (
-                    raw_edge_dev.background_energy(
-                        duration, gating.gated_fraction
-                    )
-                )
-            dram_bits = 0.0
-            if cfg.offchip_vertex == MemoryTechnology.DRAM:
-                dram_bits += counts.offchip_bits
-            if cfg.edge_memory == MemoryTechnology.DRAM:
-                dram_bits += counts.edge_stream_bits
-            flips = injector.sample_transient_flips(
-                dram_bits, profile.dram_upset_rate
-            )
-            uncorrectable = injector.uncorrectable_flip_count(
-                dram_bits, profile.dram_upset_rate
-            )
-            if sram is not None:
-                sram_bits = counts.onchip_read_bits + counts.onchip_write_bits
-                flips += injector.sample_transient_flips(
-                    sram_bits, profile.sram_upset_rate
-                )
-                uncorrectable += injector.uncorrectable_flip_count(
-                    sram_bits, profile.sram_upset_rate
-                )
-            fault_report.transient_flips_corrected = flips
-            fault_report.transient_flips_uncorrectable = uncorrectable
-            fault_report.add_energy(resil_energy)
-
-        # --- observability ---------------------------------------------------
-        metrics = obs_metrics.get_metrics()
-        metrics.counter(obs_metrics.EDGES_STREAMED).add(counts.edges_total)
-        metrics.counter(obs_metrics.BPG_BANK_WAKES).add(gating.transitions)
-        metrics.counter(obs_metrics.ROUTER_ROTATIONS).add(
-            counts.reroute_events
-        )
-        tracer = get_tracer()
-        if tracer.enabled:
-            # The processing phase is the max of three overlapped
-            # services; attribute it to whichever dominated, so phase
-            # times sum exactly to the report's modelled time.
-            from ..obs.attribution import emit_report
-
-            phase_times = {p: 0.0 for p in
-                           ("stream", "process", "schedule", "gating")}
-            if t_stream >= t_proc and t_stream >= t_random_vertex:
-                phase_times["stream"] += t_stream
-            elif t_proc >= t_random_vertex:
-                phase_times["process"] += t_proc
-            else:
-                phase_times["schedule"] += t_random_vertex
-            phase_times["process"] += t_step_overheads
-            phase_times["schedule"] += t_schedule
-            phase_times["gating"] += gating.overhead_time
-            emit_report(
-                tracer, report, phase_times,
-                detail={
-                    "t_stream": t_stream,
-                    "t_compute": t_proc,
-                    "t_random_vertex": t_random_vertex,
-                    "t_step_overheads": t_step_overheads,
-                    "bank_wake_transitions": gating.transitions,
-                },
-            )
-        return report, fault_report
+# --- devices and fault provisioning ----------------------------------------
 
 
-def _narrow_random_cost(
-    device: MemoryDevice,
-    kind: AccessKind,
-    hit_rate: float,
-    burst_bits: int = 64,
-) -> "AccessCost":
-    """Cost of one narrow random access at a given row-hit rate.
+class DeviceCosts(NamedTuple):
+    """Every unit cost the pricing kernel asks of one device."""
 
-    A hit pays only the data-movement share of a sequential access,
-    scaled to the narrow burst; a miss additionally pays the full
-    activation premium (random cost minus the unused wide burst).
-    """
-    from ..memory.base import AccessCost, AccessPattern
-
-    seq = device.access_cost(kind, AccessPattern.SEQUENTIAL)
-    rnd = device.access_cost(kind, AccessPattern.RANDOM)
-    narrow = burst_bits / device.access_bits
-    hit_energy = seq.energy * narrow
-    activation_premium = max(0.0, rnd.energy - seq.energy)
-    miss_energy = hit_energy + activation_premium
-    return AccessCost(
-        latency=hit_rate * seq.latency + (1.0 - hit_rate) * rnd.latency,
-        energy=hit_rate * hit_energy + (1.0 - hit_rate) * miss_energy,
-    )
+    sr_lat: float
+    sr_en: float
+    sw_lat: float
+    sw_en: float
+    rr_lat: float
+    rr_en: float
+    rw_lat: float
+    rw_en: float
+    access_bits: float
 
 
-# --- batched folding (simulate once, price many) ---------------------------
-
-#: Shared, memoized device instances for the batch fold, each paired
-#: with its unit-cost table (the access costs the gather loop needs,
-#: precomputed once per technology point).  Device models are pure cost
-#: functions of their frozen configs (stats helpers are never called on
-#: this path), so instances can be shared; ReRAM construction in
-#: particular runs an NVSim-lite solve worth caching.
+#: Shared, memoized device instances, each paired with its
+#: :class:`DeviceCosts` (precomputed once per technology point and ECC
+#: wrap).  Device models are pure cost functions of their frozen configs
+#: (stats helpers are never called on this path), so instances can be
+#: shared; ReRAM construction in particular runs an NVSim-lite solve
+#: worth caching.
 _DEVICE_MEMO: OrderedDict = OrderedDict()
-_SRAM_MEMO: OrderedDict = OrderedDict()
-_DEVICE_MEMO_CAP = 64
+_DEVICE_MEMO_CAP = 128
 
 
-def _device_cost_table(device: MemoryDevice) -> tuple[float, ...]:
-    """(sr_lat, sr_en, sw_lat, sw_en, rr_lat, rr_en, rw_lat, rw_en,
-    access_bits) — every unit cost the batch gather can ask of a
-    device, evaluated once when the device enters the memo."""
+def clear_device_memo() -> None:
+    """Drop every memoized device model.
+
+    The memo assumes a device's costs follow from its frozen config
+    alone; code that rescales a device module's calibration constant
+    (the sensitivity study) clears it on both sides of the change.
+    """
+    _DEVICE_MEMO.clear()
+
+
+def _device_costs(device: MemoryDevice) -> DeviceCosts:
     sr = device.access_cost(AccessKind.READ, AccessPattern.SEQUENTIAL)
     sw = device.access_cost(AccessKind.WRITE, AccessPattern.SEQUENTIAL)
     rr = device.access_cost(AccessKind.READ, AccessPattern.RANDOM)
     rw = device.access_cost(AccessKind.WRITE, AccessPattern.RANDOM)
-    return (sr.latency, sr.energy, sw.latency, sw.energy,
-            rr.latency, rr.energy, rw.latency, rw.energy,
-            float(device.access_bits))
+    return DeviceCosts(sr.latency, sr.energy, sw.latency, sw.energy,
+                       rr.latency, rr.energy, rw.latency, rw.energy,
+                       float(device.access_bits))
 
 
 def _shared_device(
-    tech: str, config: HyVEConfig
-) -> tuple[MemoryDevice, tuple[float, ...]]:
-    if tech == MemoryTechnology.RERAM:
-        key = ("reram", config.reram)
-    else:
-        key = ("dram", config.dram)
+    spec: ReRAMConfig | DRAMConfig | int, ecc: bool = False
+) -> tuple[MemoryDevice, DeviceCosts]:
+    """The memoized device for ``spec`` — a ReRAM or DRAM chip config, or
+    an on-chip SRAM capacity in bits — SECDED-wrapped if ``ecc``, with
+    its unit costs (LRU, :data:`_DEVICE_MEMO_CAP` entries)."""
+    key = (spec, ecc)
     entry = _DEVICE_MEMO.get(key)
     if entry is None:
-        device = (
-            ReRAMChip(config.reram)
-            if tech == MemoryTechnology.RERAM
-            else DDR4Chip(config.dram)
-        )
-        entry = (device, _device_cost_table(device))
+        if ecc:
+            device: MemoryDevice = SECDEDDevice(_shared_device(spec)[0])
+        elif isinstance(spec, ReRAMConfig):
+            device = ReRAMChip(spec)
+        elif isinstance(spec, DRAMConfig):
+            device = DDR4Chip(spec)
+        else:
+            device = OnChipSRAM(spec)
+        entry = (device, _device_costs(device))
         _DEVICE_MEMO[key] = entry
         if len(_DEVICE_MEMO) > _DEVICE_MEMO_CAP:
             _DEVICE_MEMO.popitem(last=False)
@@ -638,23 +229,174 @@ def _shared_device(
     return entry
 
 
-def _shared_sram(
-    capacity_bits: int,
-) -> tuple[OnChipSRAM, tuple[float, ...]]:
-    """(sram, (cycle, read_energy, write_energy, access_bits))."""
-    entry = _SRAM_MEMO.get(capacity_bits)
-    if entry is None:
-        sram = OnChipSRAM(capacity_bits)
-        read = sram.access_cost(AccessKind.READ, AccessPattern.RANDOM)
-        write = sram.access_cost(AccessKind.WRITE, AccessPattern.RANDOM)
-        entry = (sram, (sram.point.read_latency, read.energy,
-                        write.energy, float(sram.access_bits)))
-        _SRAM_MEMO[capacity_bits] = entry
-        if len(_SRAM_MEMO) > _DEVICE_MEMO_CAP:
-            _SRAM_MEMO.popitem(last=False)
-    else:
-        _SRAM_MEMO.move_to_end(capacity_bits)
-    return entry
+def _level_config(cfg: HyVEConfig, tech: str) -> ReRAMConfig | DRAMConfig:
+    return cfg.reram if tech == MemoryTechnology.RERAM else cfg.dram
+
+
+def sized_memory(
+    cfg: HyVEConfig, tech: str, footprint_bits: float, min_chips: int
+) -> tuple[MemoryDevice, DeviceCosts, int]:
+    """The shared chip of one memory level built in ``tech``, its unit
+    costs, and the chip count holding ``footprint_bits`` (at least
+    ``min_chips``)."""
+    device_config = _level_config(cfg, tech)
+    device, costs = _shared_device(device_config)
+    chips = max(min_chips,
+                math.ceil(footprint_bits / device_config.density_bits))
+    return device, costs, chips
+
+
+@dataclass
+class Provision:
+    """One configuration's devices and chip counts under a fault profile.
+
+    ``edge``/``vertex`` are the priced devices (SECDED-wrapped where
+    ECC protects that path); ``raw_edge``/``raw_vertex`` the unprotected
+    chips the resilience energy is measured against.  ``write_rounds``
+    multiplies ReRAM vertex writes; ``sram_ecc`` the scratchpad's
+    traffic and background.  ``faults`` is ``None`` on the ideal-device
+    path, where every field holds its identity value.
+    """
+
+    edge: MemoryDevice
+    edge_costs: DeviceCosts
+    raw_edge: MemoryDevice
+    raw_edge_costs: DeviceCosts
+    vertex: MemoryDevice
+    vertex_costs: DeviceCosts
+    raw_vertex: MemoryDevice
+    raw_vertex_costs: DeviceCosts
+    edge_chips: int
+    vertex_chips: int
+    sram_ecc: float = 1.0
+    write_rounds: float = 1.0
+    spare_chips: int = 0
+    failed_banks: int = 0
+    transition_factor: float = 1.0
+    faults: FaultReport | None = None
+
+
+def provision(
+    cfg: HyVEConfig,
+    run: AlgorithmRun,
+    counts: ScheduleCounts,
+    workload: Workload,
+    faults: FaultProfile | None,
+) -> Provision:
+    """Size the memories and apply a fault profile's provisioning.
+
+    Draws every fault sample of one (machine, algorithm, graph) run —
+    failed banks, stuck cells, transient flips — from an injector
+    seeded on ``f"{label}|{algorithm}|{graph}"``, so a config prices
+    the same faults alone or inside any grid.  The returned
+    :attr:`Provision.faults` lacks only the resilience energy, which
+    depends on the priced run.
+    """
+    edge_footprint = (
+        counts.edges_total / counts.iterations
+    ) * counts.edge_bits * FOOTPRINT_SLACK
+    vertex_footprint = counts.vertices * counts.vertex_bits * FOOTPRINT_SLACK
+    raw_edge, raw_edge_costs, edge_chips = sized_memory(
+        cfg, cfg.edge_memory, edge_footprint, MIN_EDGE_CHIPS_PER_RANK
+    )
+    raw_vertex, raw_vertex_costs, vertex_chips = sized_memory(
+        cfg, cfg.offchip_vertex, vertex_footprint, MIN_VERTEX_CHIPS
+    )
+    if faults is None or faults.is_zero:
+        return Provision(raw_edge, raw_edge_costs, raw_edge, raw_edge_costs,
+                         raw_vertex, raw_vertex_costs, raw_vertex,
+                         raw_vertex_costs, edge_chips, vertex_chips)
+
+    injector = FaultInjector(
+        faults, tag=f"{cfg.label}|{run.algorithm}|{workload.name}"
+    )
+    report = FaultReport(faults)
+    word_stats = injector.stuck_word_stats()
+    report.corrected_word_fraction = word_stats.correctable_fraction
+    report.remapped_word_fraction = word_stats.uncorrectable_fraction
+    sparing = BankSparingPlan(total_banks=0)
+    if cfg.edge_memory == MemoryTechnology.RERAM:
+        failed = injector.sample_failed_banks(
+            edge_chips * cfg.reram.num_banks
+        )
+        sparing, edge_chips = BankSparingPlan.build(
+            footprint_bits=edge_footprint,
+            chips=edge_chips,
+            banks_per_chip=cfg.reram.num_banks,
+            bank_capacity_bits=cfg.reram.bank_capacity_bits,
+            density_bits=cfg.reram.density_bits,
+            failed_banks=failed,
+            bad_word_fraction=word_stats.uncorrectable_fraction,
+        )
+        report.failed_banks = failed
+        report.spare_chips = sparing.spare_chips
+        report.capacity_loss_fraction = sparing.capacity_loss_fraction
+        report.stuck_cells = injector.sample_stuck_cells(
+            edge_chips * cfg.reram.density_bits
+        )
+    reram_faulty = (
+        faults.effective_stuck_rate > 0 or faults.bank_failure_rate > 0
+    )
+
+    def protected(tech: str) -> bool:
+        if tech == MemoryTechnology.RERAM:
+            return reram_faulty
+        return faults.dram_upset_rate > 0
+
+    write_rounds = 1.0
+    if faults.reram_write_fail_rate > 0:
+        write_rounds = expected_write_rounds(
+            faults.reram_write_fail_rate, WRITE_RETRY_BOUND
+        )
+        report.expected_write_rounds = write_rounds
+        report.write_give_up_probability = write_give_up_probability(
+            faults.reram_write_fail_rate, WRITE_RETRY_BOUND
+        )
+
+    dram_bits = 0.0
+    if cfg.offchip_vertex == MemoryTechnology.DRAM:
+        dram_bits += counts.offchip_bits
+    if cfg.edge_memory == MemoryTechnology.DRAM:
+        dram_bits += counts.edge_stream_bits
+    flips = injector.sample_transient_flips(dram_bits, faults.dram_upset_rate)
+    uncorrectable = injector.uncorrectable_flip_count(
+        dram_bits, faults.dram_upset_rate
+    )
+    if cfg.has_onchip:
+        sram_bits = counts.onchip_read_bits + counts.onchip_write_bits
+        flips += injector.sample_transient_flips(
+            sram_bits, faults.sram_upset_rate
+        )
+        uncorrectable += injector.uncorrectable_flip_count(
+            sram_bits, faults.sram_upset_rate
+        )
+    report.transient_flips_corrected = flips
+    report.transient_flips_uncorrectable = uncorrectable
+
+    edge, edge_costs = _shared_device(
+        _level_config(cfg, cfg.edge_memory), ecc=protected(cfg.edge_memory)
+    )
+    vertex, vertex_costs = _shared_device(
+        _level_config(cfg, cfg.offchip_vertex),
+        ecc=protected(cfg.offchip_vertex),
+    )
+    return Provision(
+        edge, edge_costs, raw_edge, raw_edge_costs,
+        vertex, vertex_costs, raw_vertex, raw_vertex_costs,
+        edge_chips, vertex_chips,
+        sram_ecc=(
+            secded_factor()
+            if cfg.has_onchip and faults.sram_upset_rate > 0 else 1.0
+        ),
+        write_rounds=write_rounds,
+        spare_chips=sparing.spare_chips,
+        failed_banks=sparing.failed_banks,
+        transition_factor=sparing.transition_factor,
+        faults=report,
+    )
+
+
+# --- the pricing kernel (simulate once, price many) ------------------------
 
 
 def _check_grid_config(
@@ -698,18 +440,27 @@ def fold_many(
     counts: ScheduleCounts,
     workload: Workload,
     configs: list[HyVEConfig],
+    *,
+    faults: FaultProfile | None = None,
+    fault_reports: list | None = None,
 ) -> list[EnergyReport]:
     """Price one :class:`ScheduleCounts` against a grid of configs.
 
-    The vectorized counterpart of the ideal-device (no fault profile)
-    ``_fold``: per-config unit costs are gathered from memoized device
-    models, the dynamic-energy and busy-time terms are evaluated as
-    NumPy float64 array passes that mirror the scalar fold expression
-    for expression (same operands, same association, same IEEE-754
-    operations), and the per-config tail (BPG planning, background
-    integration, report assembly) replays the scalar order exactly —
-    so element ``i`` is bit-identical to
-    ``AcceleratorMachine(configs[i]).run(...).report``.
+    The one pricing kernel of the HyVE machines — Equations (1)-(8)
+    and the Fig. 8 decomposition.  Per-config unit costs are gathered
+    from memoized device models, the dynamic-energy and busy-time terms
+    are evaluated as NumPy float64 array passes, and the per-config
+    tail (BPG planning, background integration, report assembly) runs
+    element by element.  :meth:`AcceleratorMachine.run` is this kernel
+    on a one-config grid; :func:`repro.verify.reference.reference_fold`
+    is the scalar reference every element stays bit-identical to.
+
+    ``faults`` prices every config under that profile (see
+    :func:`provision`): each fault effect is a per-config unit-cost
+    column or chip count, identity-valued on a fault-free config.  When
+    ``fault_reports`` is a list it is extended with one
+    :class:`FaultReport` per config (``None`` where the profile is
+    absent or all zero).
 
     Every config must share the schedule described by ``counts``
     (grouping by :func:`repro.perf.batch.counts_cache_key` guarantees
@@ -720,7 +471,8 @@ def fold_many(
     head = configs[0]
     for config in configs:
         _check_grid_config(config, head, counts)
-    onchip = head.has_onchip
+    if faults is not None and faults.is_zero:
+        faults = None
     tracer = get_tracer()
     metrics = obs_metrics.get_metrics()
     metrics.counter(obs_metrics.FOLD_MANY_CONFIGS).add(len(configs))
@@ -730,7 +482,40 @@ def fold_many(
         graph=workload.name,
         configs=len(configs),
     ):
-        return _fold_many_impl(run, counts, workload, configs, onchip)
+        reports, provisions = _fold_many_impl(
+            run, counts, workload, configs, faults
+        )
+    if fault_reports is not None:
+        fault_reports.extend(p.faults for p in provisions)
+    return reports
+
+
+def _columns(rows: list[tuple[float, ...]]):
+    """Per-config value columns: Python floats for a one-config grid,
+    float64 arrays otherwise.  Both run the same IEEE-754 operations;
+    the floats skip NumPy's fixed cost per operation on one-element
+    arrays, which would dominate a single ``run()``."""
+    return rows[0] if len(rows) == 1 else np.array(rows, dtype=np.float64).T
+
+
+def _per_config(column) -> list[float]:
+    """A value computed from :func:`_columns`, one float per config."""
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    return [float(column)]
+
+
+def _narrow_random(c: DeviceCosts, hit, write: bool = False):
+    """(latency, energy) of one 64-bit random vertex access at row-hit
+    rate ``hit`` (see ``repro.verify.reference._narrow_random_cost``)."""
+    seq_lat, seq_en, rnd_lat, rnd_en = (
+        (c.sw_lat, c.sw_en, c.rw_lat, c.rw_en) if write
+        else (c.sr_lat, c.sr_en, c.rr_lat, c.rr_en)
+    )
+    hit_en = seq_en * (64.0 / c.access_bits)
+    miss_en = hit_en + np.maximum(0.0, rnd_en - seq_en)
+    return (hit * seq_lat + (1.0 - hit) * rnd_lat,
+            hit * hit_en + (1.0 - hit) * miss_en)
 
 
 def _fold_many_impl(
@@ -738,128 +523,85 @@ def _fold_many_impl(
     counts: ScheduleCounts,
     workload: Workload,
     configs: list[HyVEConfig],
-    onchip: bool,
-) -> list[EnergyReport]:
-    edge_footprint = (
-        counts.edges_total / counts.iterations
-    ) * counts.edge_bits * FOOTPRINT_SLACK
-    vertex_footprint = counts.vertices * counts.vertex_bits * FOOTPRINT_SLACK
-
-    # --- gather: per-config devices and unit costs (memoized) ----------
-    edge_devs: list[MemoryDevice] = []
-    vertex_devs: list[MemoryDevice] = []
+    faults: FaultProfile | None,
+) -> tuple[list[EnergyReport], list[Provision]]:
+    onchip = configs[0].has_onchip
+    # --- gather: per-config provisioning and unit-cost rows ------------
+    provisions: list[Provision] = []
     srams: list[OnChipSRAM] = []
-    edge_chips: list[int] = []
-    vertex_chips: list[int] = []
-    gather: dict[str, list[float]] = {
-        name: []
-        for name in (
-            "e_sr_lat", "e_sr_en", "e_rr_lat", "e_rr_en", "e_abits",
-            "v_sr_lat", "v_sr_en", "v_sw_lat", "v_sw_en",
-            "v_rr_lat", "v_rr_en", "v_rw_lat", "v_rw_en", "v_abits",
-            "hit", "mlp", "ii", "s_r_en", "s_w_en", "s_abits",
-        )
-    }
-    op_energy = 0.0
-    pipeline_fill = 0.0
+    rows: list[tuple[float, ...]] = []
+    onchip_bits = counts.onchip_read_bits + counts.onchip_write_bits
+    op_energy = pipeline_fill = 0.0
     for cfg in configs:
-        edge_dev, e_costs = _shared_device(cfg.edge_memory, cfg)
-        vertex_dev, v_costs = _shared_device(cfg.offchip_vertex, cfg)
-        edge_devs.append(edge_dev)
-        vertex_devs.append(vertex_dev)
-        density = (
-            cfg.reram.density_bits
-            if cfg.edge_memory == MemoryTechnology.RERAM
-            else cfg.dram.density_bits
-        )
-        edge_chips.append(
-            max(MIN_EDGE_CHIPS_PER_RANK,
-                math.ceil(edge_footprint / density))
-        )
-        density = (
-            cfg.reram.density_bits
-            if cfg.offchip_vertex == MemoryTechnology.RERAM
-            else cfg.dram.density_bits
-        )
-        vertex_chips.append(
-            max(MIN_VERTEX_CHIPS, math.ceil(vertex_footprint / density))
-        )
+        p = provision(cfg, run, counts, workload, faults)
+        provisions.append(p)
         if onchip:
-            sram, s_costs = _shared_sram(cfg.sram_bits)
+            sram, s = _shared_device(cfg.sram_bits)
             srams.append(sram)
-            sram_cycle, s_r_en, s_w_en, s_abits = s_costs
+            # SRAM costs are pattern-independent: its cycle is the read.
+            sram_cycle, s_r_en, s_w_en = s.rr_lat, s.rr_en, s.rw_en
+            s_abits = s.access_bits
         else:
-            sram_cycle = e_costs[4] / cfg.random_access_mlp  # rnd-read lat
+            sram_cycle = p.edge_costs.rr_lat / cfg.random_access_mlp
             s_r_en = s_w_en = 0.0
             s_abits = 1.0
         pu = ProcessingUnitModel(sram_cycle=sram_cycle)
         op_energy = pu.op_energy(run.algorithm)
         pipeline_fill = pu.pipeline_fill()
-        g = gather
-        g["e_sr_lat"].append(e_costs[0])
-        g["e_sr_en"].append(e_costs[1])
-        g["e_rr_lat"].append(e_costs[4])
-        g["e_rr_en"].append(e_costs[5])
-        g["e_abits"].append(e_costs[8])
-        g["v_sr_lat"].append(v_costs[0])
-        g["v_sr_en"].append(v_costs[1])
-        g["v_sw_lat"].append(v_costs[2])
-        g["v_sw_en"].append(v_costs[3])
-        g["v_rr_lat"].append(v_costs[4])
-        g["v_rr_en"].append(v_costs[5])
-        g["v_rw_lat"].append(v_costs[6])
-        g["v_rw_en"].append(v_costs[7])
-        g["v_abits"].append(v_costs[8])
-        g["hit"].append(cfg.region_hit_rate)
-        g["mlp"].append(float(min(cfg.random_access_mlp, cfg.num_pus)))
-        g["ii"].append(pu.initiation_interval)
-        g["s_r_en"].append(s_r_en)
-        g["s_w_en"].append(s_w_en)
-        g["s_abits"].append(s_abits)
-    a = {name: np.asarray(vals, dtype=np.float64)
-         for name, vals in gather.items()}
+        rows.append(
+            p.edge_costs + p.raw_edge_costs + p.vertex_costs
+            + p.raw_vertex_costs + (
+                cfg.region_hit_rate,
+                float(min(cfg.random_access_mlp, cfg.num_pus)),
+                pu.initiation_interval,
+                s_r_en, s_w_en, s_abits,
+                p.sram_ecc,
+                # ECC encode/decode logic, only where the SRAM is protected.
+                secded_logic_energy(onchip_bits) if p.sram_ecc != 1.0
+                else 0.0,
+                # Write-verify rounds apply to ReRAM vertex writes only.
+                p.write_rounds
+                if cfg.offchip_vertex == MemoryTechnology.RERAM else 1.0,
+            )
+        )
+    cols = _columns(rows)
+    n = len(DeviceCosts._fields)
+    e, e_raw, v, v_raw = (DeviceCosts(*cols[k * n:(k + 1) * n])
+                          for k in range(4))
+    (hit, mlp, ii, s_r_en, s_w_en, s_abits, sram_ecc, sram_logic,
+     write_rounds) = cols[4 * n:]
 
     # --- vector passes: dynamic energy and busy time -------------------
-    # Each expression mirrors the scalar fold's operand order exactly.
-    e_accesses = counts.edge_stream_bits / a["e_abits"]
-    edge_stream_en = a["e_sr_en"] * e_accesses
-    edge_stream_lat = a["e_sr_lat"] * e_accesses
-    seek_extra = counts.block_seeks * np.maximum(
-        0.0, a["e_rr_lat"] - a["e_sr_lat"]
-    )
+    # Operand order matches the scalar reference expression for
+    # expression; fault columns are 1.0 / 0.0 on fault-free configs,
+    # where ``x * 1.0`` and ``x + 0.0`` are exact.
+    e_accesses = counts.edge_stream_bits / e.access_bits
+    edge_stream_en = e.sr_en * e_accesses
+    edge_stream_lat = e.sr_lat * e_accesses
+    seek_extra = counts.block_seeks * np.maximum(0.0, e.rr_lat - e.sr_lat)
 
-    load_acc = counts.offchip_load_bits / a["v_abits"]
-    load_en = a["v_sr_en"] * load_acc
-    load_lat = a["v_sr_lat"] * load_acc
-    store_acc = counts.offchip_store_bits / a["v_abits"]
-    store_en = a["v_sw_en"] * store_acc
-    store_lat = a["v_sw_lat"] * store_acc
-
-    # _narrow_random_cost, vectorized (64-bit burst).
-    narrow = 64.0 / a["v_abits"]
-    hit = a["hit"]
-    hit_en_r = a["v_sr_en"] * narrow
-    miss_en_r = hit_en_r + np.maximum(0.0, a["v_rr_en"] - a["v_sr_en"])
-    rnd_r_lat = hit * a["v_sr_lat"] + (1.0 - hit) * a["v_rr_lat"]
-    rnd_r_en = hit * hit_en_r + (1.0 - hit) * miss_en_r
-    hit_en_w = a["v_sw_en"] * narrow
-    miss_en_w = hit_en_w + np.maximum(0.0, a["v_rw_en"] - a["v_sw_en"])
-    rnd_w_lat = hit * a["v_sw_lat"] + (1.0 - hit) * a["v_rw_lat"]
-    rnd_w_en = hit * hit_en_w + (1.0 - hit) * miss_en_w
-
+    load_acc = counts.offchip_load_bits / v.access_bits
+    load_en = v.sr_en * load_acc
+    load_lat = v.sr_lat * load_acc
+    store_acc = counts.offchip_store_bits / v.access_bits
+    store_en = v.sw_en * store_acc * write_rounds
+    store_lat = v.sw_lat * store_acc * write_rounds
+    rnd_r_lat, rnd_r_en = _narrow_random(v, hit)
+    rnd_w_lat, rnd_w_en = _narrow_random(v, hit, write=True)
+    rnd_w_lat = rnd_w_lat * write_rounds
+    rnd_w_en = rnd_w_en * write_rounds
     offchip_en = (
         load_en
         + store_en
         + counts.random_read_ops * rnd_r_en
         + counts.random_write_ops * rnd_w_en
     )
-    if onchip:
-        onchip_en = (
-            (counts.onchip_read_bits / a["s_abits"]) * a["s_r_en"]
-            + (counts.onchip_write_bits / a["s_abits"]) * a["s_w_en"]
-        )
-    else:
-        onchip_en = np.zeros(len(configs))
+    onchip_en = (
+        (counts.onchip_read_bits / s_abits) * s_r_en
+        + (counts.onchip_write_bits / s_abits) * s_w_en
+    )
+    onchip_ecc_en = onchip_en * (sram_ecc - 1.0) + sram_logic
+    onchip_en = onchip_en + onchip_ecc_en
 
     processing_en = counts.pu_ops * (
         op_energy + params.PIPELINE_ENERGY_PER_EDGE
@@ -870,21 +612,21 @@ def _fold_many_impl(
     ) + router.reroute_energy(counts.reroute_events)
     requests = (
         e_accesses
-        + counts.offchip_bits / a["v_abits"]
+        + counts.offchip_bits / v.access_bits
         + counts.random_read_ops
         + counts.random_write_ops
     )
     controller_en = requests * params.CONTROLLER_REQUEST_ENERGY
 
     t_stream = edge_stream_lat + seek_extra
-    t_proc = counts.pu_ops * a["ii"] * counts.imbalance / counts.num_pus
+    t_proc = counts.pu_ops * ii * counts.imbalance / counts.num_pus
     if counts.random_read_ops or counts.random_write_ops:
         t_random = (
             counts.random_read_ops * rnd_r_lat
             + counts.random_write_ops * rnd_w_lat
-        ) / a["mlp"]
+        ) / mlp
     else:
-        t_random = np.zeros(len(configs))
+        t_random = 0.0 * hit
     t_step = counts.steps_total * (params.SYNC_LATENCY + pipeline_fill)
     if configs[0].data_sharing:
         t_step += router.fill_latency(counts.steps_total)
@@ -900,17 +642,38 @@ def _fold_many_impl(
         + params.CONTROLLER_POWER
     )
 
+    # Resilience energy: what the protected devices and write-verify
+    # rounds cost beyond the raw chips, summed in the reference's order.
+    resilience_en = None
+    if faults is not None:
+        raw_rnd_r_en = _narrow_random(v_raw, hit)[1]
+        raw_rnd_w_en = _narrow_random(v_raw, hit, write=True)[1]
+        resilience_en = (
+            edge_stream_en - e_raw.sr_en * e_accesses
+        ) + (
+            (load_en - v_raw.sr_en * load_acc)
+            + (store_en - v_raw.sw_en * store_acc)
+            + counts.random_read_ops * (rnd_r_en - raw_rnd_r_en)
+            + counts.random_write_ops * (rnd_w_en - raw_rnd_w_en)
+        ) + onchip_ecc_en
+
     # --- tail: per-config gating, background, report assembly ----------
     # Inherently per element (dict insertion order, BPG branch); every
-    # value is narrowed to a Python float so reports round-trip through
-    # repr()/JSON exactly like the scalar path's.
+    # value is a Python float so reports round-trip through repr()/JSON
+    # exactly like the reference's.
+    (edge_stream_en, offchip_en, onchip_en, controller_en, duration0,
+     t_stream, t_proc, t_random, t_schedule) = map(_per_config, (
+        edge_stream_en, offchip_en, onchip_en, controller_en, duration0,
+        t_stream, t_proc, t_random, t_schedule))
+    if resilience_en is not None:
+        resilience_en = _per_config(resilience_en)
     reports: list[EnergyReport] = []
     metrics = obs_metrics.get_metrics()
     edges_streamed = metrics.counter(obs_metrics.EDGES_STREAMED)
     bank_wakes = metrics.counter(obs_metrics.BPG_BANK_WAKES)
     rotations = metrics.counter(obs_metrics.ROUTER_ROTATIONS)
     tracer = get_tracer()
-    for i, cfg in enumerate(configs):
+    for i, (cfg, p) in enumerate(zip(configs, provisions)):
         report = EnergyReport(
             machine=cfg.label,
             algorithm=run.algorithm,
@@ -919,15 +682,15 @@ def _fold_many_impl(
             iterations=counts.iterations,
             time=0.0,
         )
-        report.add(rpt.EDGE_MEMORY, float(edge_stream_en[i]))
-        report.add(rpt.OFFCHIP_VERTEX, float(offchip_en[i]))
+        report.add(rpt.EDGE_MEMORY, edge_stream_en[i])
+        report.add(rpt.OFFCHIP_VERTEX, offchip_en[i])
         if onchip:
-            report.add(rpt.ONCHIP_VERTEX, float(onchip_en[i]))
+            report.add(rpt.ONCHIP_VERTEX, onchip_en[i])
         report.add(rpt.PROCESSING, processing_en)
         report.add(rpt.ROUTER, router_en)
-        report.add(rpt.CONTROLLER, float(controller_en[i]))
+        report.add(rpt.CONTROLLER, controller_en[i])
 
-        duration = float(duration0[i])
+        duration = duration0[i]
         gating = GatingReport(0.0, 0, 0.0, 0.0)
         if (
             cfg.edge_memory == MemoryTechnology.RERAM
@@ -935,7 +698,7 @@ def _fold_many_impl(
         ):
             gater = BankPowerGating(cfg.power_gating)
             gating = gater.plan(
-                num_banks=edge_chips[i] * cfg.reram.num_banks,
+                num_banks=p.edge_chips * cfg.reram.num_banks,
                 active_banks=(
                     1 if cfg.reram.subbank_interleaving
                     else cfg.reram.num_banks
@@ -943,28 +706,35 @@ def _fold_many_impl(
                 streamed_bits=counts.edge_stream_bits,
                 bank_capacity_bits=cfg.reram.bank_capacity_bits,
                 duration=duration,
+                failed_banks=p.failed_banks,
+                transition_factor=p.transition_factor,
             )
             duration += gating.overhead_time
             report.add(rpt.EDGE_MEMORY, gating.overhead_energy)
         report.time = duration
 
-        report.add(
-            rpt.EDGE_MEMORY_BG,
-            edge_chips[i]
-            * edge_devs[i].background_energy(
-                duration, gating.gated_fraction
-            ),
-        )
-        report.add(
-            rpt.OFFCHIP_VERTEX_BG,
-            vertex_chips[i] * vertex_devs[i].background_energy(duration),
-        )
+        edge_bg = p.edge.background_energy(duration, gating.gated_fraction)
+        vertex_bg = p.vertex.background_energy(duration)
+        report.add(rpt.EDGE_MEMORY_BG, p.edge_chips * edge_bg)
+        report.add(rpt.OFFCHIP_VERTEX_BG, p.vertex_chips * vertex_bg)
         if onchip:
-            report.add(
-                rpt.ONCHIP_VERTEX_BG,
-                cfg.num_pus * srams[i].background_energy(duration),
-            )
+            sram_bg = cfg.num_pus * srams[i].background_energy(duration)
+            report.add(rpt.ONCHIP_VERTEX_BG, sram_bg * p.sram_ecc)
         report.add(rpt.LOGIC_BG, logic_power * duration)
+
+        if p.faults is not None:
+            resilience = resilience_en[i]
+            if onchip:
+                resilience += sram_bg * (p.sram_ecc - 1.0)
+            raw_edge_bg = p.raw_edge.background_energy(
+                duration, gating.gated_fraction
+            )
+            resilience += p.edge_chips * (edge_bg - raw_edge_bg)
+            resilience += p.vertex_chips * (
+                vertex_bg - p.raw_vertex.background_energy(duration)
+            )
+            resilience += p.spare_chips * raw_edge_bg
+            p.faults.add_energy(resilience)
 
         edges_streamed.add(counts.edges_total)
         bank_wakes.add(gating.transitions)
@@ -972,10 +742,11 @@ def _fold_many_impl(
         if tracer.enabled:
             from ..obs.attribution import emit_report
 
-            ts, tp, trv = (
-                float(t_stream[i]), float(t_proc[i]), float(t_random[i])
-            )
-            phase_times = {p: 0.0 for p in
+            ts, tp, trv = t_stream[i], t_proc[i], t_random[i]
+            # The processing phase is the max of three overlapped
+            # services; attribute it to whichever dominated, so phase
+            # times sum exactly to the report's modelled time.
+            phase_times = {phase: 0.0 for phase in
                            ("stream", "process", "schedule", "gating")}
             if ts >= tp and ts >= trv:
                 phase_times["stream"] += ts
@@ -984,7 +755,7 @@ def _fold_many_impl(
             else:
                 phase_times["schedule"] += trv
             phase_times["process"] += float(t_step)
-            phase_times["schedule"] += float(t_schedule[i])
+            phase_times["schedule"] += t_schedule[i]
             phase_times["gating"] += gating.overhead_time
             emit_report(
                 tracer, report, phase_times,
@@ -997,7 +768,7 @@ def _fold_many_impl(
                 },
             )
         reports.append(report)
-    return reports
+    return reports, provisions
 
 
 def make_machine(

@@ -92,12 +92,13 @@ class SweepPolicy:
             pending points are grouped by shared schedule-counts key
             (:class:`BatchPlan`) and each group is priced by one
             vectorized :func:`repro.arch.machine.fold_many` call,
-            bit-identical per point to the plain loop.  Batching only
-            engages when it cannot change semantics — no per-point
-            timeout, no fault profile, serial evaluation — and any
-            batch failure falls back to the per-point path (with its
-            full retry/backoff/isolation behaviour).  Set False to
-            force the plain per-point loop.
+            bit-identical per point to the plain loop, fault profiles
+            included (the kernel prices them per config).  Batching
+            only engages when it cannot change semantics — no
+            per-point timeout, serial evaluation — and any batch
+            failure falls back to the per-point path (with its full
+            retry/backoff/isolation behaviour).  Set False to force
+            the plain per-point loop.
     """
 
     timeout: float | None = None
@@ -427,20 +428,6 @@ def _evaluate_parallel(
                              attempts + lost_attempts[idx])
 
 
-def _batchable(policy: SweepPolicy, faults) -> bool:
-    """Whether the serial path may evaluate simulate-once / price-many.
-
-    Batching must be invisible: a per-point timeout bounds each
-    evaluation's wall clock individually, and a fault profile perturbs
-    devices per machine — both force the plain per-point loop.
-    """
-    return (
-        policy.batch
-        and policy.timeout is None
-        and (faults is None or faults.is_zero)
-    )
-
-
 @dataclass(frozen=True)
 class BatchPlan:
     """Pending sweep points grouped by shared schedule-counts key.
@@ -465,17 +452,15 @@ class BatchPlan:
         workload: Workload,
         configs_by_index: Sequence[tuple[int, HyVEConfig]],
     ) -> "BatchPlan":
-        from ..perf.batch import counts_cache_key
+        from ..perf.batch import group_by_counts_key
 
-        groups: dict[str, list[int]] = {}
-        for idx, config in configs_by_index:
-            groups.setdefault(
-                counts_cache_key(run, workload, config), []
-            ).append(idx)
-        return cls(
-            run=run,
-            groups=tuple(tuple(g) for g in groups.values()),
+        indices = [idx for idx, _ in configs_by_index]
+        groups = group_by_counts_key(
+            run, workload, [config for _, config in configs_by_index]
         )
+        return cls(run=run, groups=tuple(
+            tuple(indices[j] for j in group) for group in groups.values()
+        ))
 
     def evaluate(
         self,
@@ -497,7 +482,7 @@ class BatchPlan:
                         self.run, workload, configs[0]
                     )
                     reports = fold_many(
-                        self.run, counts, workload, configs
+                        self.run, counts, workload, configs, faults=faults
                     )
             except Exception:
                 # The batched fold rejected the group; price its
@@ -600,7 +585,10 @@ def sweep(
     else:
         plan: BatchPlan | None = None
         batch_error: BaseException | None = None
-        if pending and _batchable(policy, faults):
+        # Batching must be invisible: a per-point timeout bounds each
+        # evaluation's wall clock individually, so it forces the plain
+        # per-point loop.
+        if pending and policy.batch and policy.timeout is None:
             try:
                 run = run_cached(algorithm_factory(), workload.graph)
             except Exception as exc:

@@ -304,8 +304,13 @@ class UpdateLog:
                 f"{path} is not a {UPDATES_SCHEMA} log (schema="
                 f"{header.get('schema') if isinstance(header, dict) else None!r})"
             )
-        log = cls(int(header["num_vertices"]),
-                  name=str(header.get("name", "stream")))
+        num_vertices = header.get("num_vertices")
+        if type(num_vertices) is not int:
+            raise StreamError(
+                f"{path}:1: header needs an integer num_vertices, got "
+                f"{num_vertices!r}"
+            )
+        log = cls(num_vertices, name=str(header.get("name", "stream")))
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -316,7 +321,7 @@ class UpdateLog:
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise StreamError(f"{path}:{lineno}: bad event: {exc}") from exc
         declared = header.get("events")
-        if declared is not None and int(declared) != len(log):
+        if declared is not None and declared != len(log):
             raise StreamError(
                 f"{path}: header declares {declared} events, found {len(log)}"
             )

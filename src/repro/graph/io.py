@@ -15,6 +15,8 @@ to a block's slack space, so it is implemented here once.
 from __future__ import annotations
 
 import math
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -151,16 +153,30 @@ def save_binary(graph: Graph, path: str | Path) -> None:
 
 
 def load_binary(path: str | Path) -> Graph:
-    """Read a graph written by :func:`save_binary`."""
-    with np.load(Path(path)) as data:
-        weights = data["weights"] if "weights" in data else None
-        return Graph(
-            int(data["num_vertices"]),
-            data["src"].astype(VERTEX_DTYPE),
-            data["dst"].astype(VERTEX_DTYPE),
-            weights,
-            name=bytes(data["name"]).decode(),
-        )
+    """Read a graph written by :func:`save_binary`.
+
+    A file that is not a readable ``.npz`` archive, or lacks one of the
+    arrays :func:`save_binary` writes, raises :class:`GraphError`.
+    """
+    path = Path(path)
+    try:
+        with np.load(path) as data:
+            missing = [key for key in ("num_vertices", "src", "dst", "name")
+                       if key not in data]
+            if missing:
+                raise GraphError(
+                    f"{path}: not a graph archive (missing "
+                    f"{', '.join(missing)})"
+                )
+            return Graph(
+                int(data["num_vertices"]),
+                data["src"].astype(VERTEX_DTYPE),
+                data["dst"].astype(VERTEX_DTYPE),
+                data["weights"] if "weights" in data else None,
+                name=bytes(data["name"]).decode(),
+            )
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        raise GraphError(f"{path}: corrupt graph archive: {exc}") from exc
 
 
 # --- Section 3.4 serialised layout ---------------------------------------

@@ -24,7 +24,8 @@ Entry points:
 * :func:`run_grid` — evaluate one algorithm x workload against many
   configurations, grouping them by counts key and pricing each group
   with one vectorized fold; bit-identical to a loop of
-  :meth:`AcceleratorMachine.run` calls.
+  :meth:`AcceleratorMachine.run` calls, with or without a fault
+  profile.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterable, Sequence
 from ..algorithms.base import EdgeCentricAlgorithm
 from ..algorithms.runner import AlgorithmRun, run_cached
 from ..arch.config import HyVEConfig, Workload, choose_num_intervals
-from ..arch.machine import AcceleratorMachine, SimulationResult, fold_many
+from ..arch.machine import SimulationResult, fold_many
 from ..arch.scheduler import ScheduleCounts
 from ..graph.graph import Graph
 from ..obs.trace import get_tracer
@@ -156,25 +157,15 @@ def run_grid(
     for c in configs]`` but structured simulate-once / price-many: the
     algorithm converges once (run cache), each distinct counts key is
     expanded once (counts cache), and every group of configurations
-    sharing a key is priced by one vectorized :func:`fold_many` pass.
-
-    Fault-injected evaluations are not batchable — the injector
-    perturbs devices and provisioning per machine — so a non-zero
-    ``faults`` profile falls back to the serial path (which is
-    per-config deterministic: the injector seeds on the config label).
+    sharing a key is priced by one vectorized :func:`fold_many` pass —
+    fault-injected grids included: the kernel takes the profile, and
+    each config draws its faults from its own seeded injector.
     """
     if isinstance(workload, Graph):
         workload = Workload(workload)
     configs = list(configs)
     if not configs:
         return []
-    if faults is not None and not faults.is_zero:
-        return [
-            AcceleratorMachine(config, faults=faults).run(
-                algorithm, workload
-            )
-            for config in configs
-        ]
     tracer = get_tracer()
     with tracer.span(
         "run_grid",
@@ -191,11 +182,14 @@ def run_grid(
                 counts = scheduled_counts(
                     run, workload, configs[indices[0]]
                 )
+            fault_reports: list = []
             reports = fold_many(
-                run, counts, workload, [configs[i] for i in indices]
+                run, counts, workload, [configs[i] for i in indices],
+                faults=faults, fault_reports=fault_reports,
             )
-            for idx, report in zip(indices, reports):
+            for idx, report, fault_report in zip(indices, reports,
+                                                 fault_reports):
                 results[idx] = SimulationResult(
-                    report=report, run=run, faults=None
+                    report=report, run=run, faults=fault_report
                 )
     return results  # type: ignore[return-value]

@@ -112,7 +112,8 @@ def bench_sweep_scenario(
     passes over identical points:
 
     * ``serial_s`` — the pre-batching per-point pipeline: one
-      ``ScheduleCounts.compute`` plus one scalar fold per point.
+      ``ScheduleCounts.compute`` plus one scalar reference fold
+      (:func:`repro.verify.reference.reference_fold`) per point.
     * ``batch_cold_s`` — :func:`repro.perf.batch.run_grid` with empty
       counts/device memos (first batched evaluation in a process).
     * ``batch_warm_s`` — the same call again, memos warm.
@@ -131,13 +132,13 @@ def bench_sweep_scenario(
     from ..algorithms.runner import run_cached
     from ..arch import machine as machine_mod
     from ..arch.config import HyVEConfig, Workload
-    from ..arch.machine import AcceleratorMachine
     from ..arch.scheduler import ScheduleCounts
     from ..graph.generators import rmat
     from ..memory.dram import DRAMConfig
     from ..memory.powergate import PowerGatingPolicy
     from ..memory.reram import ReRAMConfig
     from ..units import GBIT, US
+    from ..verify.reference import reference_fold
     from .batch import run_grid
     from .cache import RunCache, get_run_cache, set_run_cache
 
@@ -167,13 +168,11 @@ def bench_sweep_scenario(
 
             start = time.perf_counter()
             for config in configs:
-                machine = AcceleratorMachine(config)
                 counts = ScheduleCounts.compute(run, workload, config)
-                machine._fold(run, counts, workload)
+                reference_fold(config, run, counts, workload)
             serial_s += time.perf_counter() - start
 
-            machine_mod._DEVICE_MEMO.clear()
-            machine_mod._SRAM_MEMO.clear()
+            machine_mod.clear_device_memo()
             start = time.perf_counter()
             run_grid(algorithm, workload, configs)
             batch_cold_s += time.perf_counter() - start
@@ -260,8 +259,7 @@ def bench_tune_scenario(repeats: int = 3) -> dict:
     try:
         scratch = tempfile.mkdtemp(prefix="repro-bench-tune-")
         set_run_cache(RunCache(directory=scratch))
-        machine_mod._DEVICE_MEMO.clear()
-        machine_mod._SRAM_MEMO.clear()
+        machine_mod.clear_device_memo()
         run_cached(algorithm, workload.graph)  # untimed convergence
 
         start = time.perf_counter()
@@ -353,8 +351,7 @@ def _clear_hot_memos() -> None:
 
     vc_mod._CSR_MEMO.clear()
     runner_mod._TRANSFORM_MEMO.clear()
-    machine_mod._DEVICE_MEMO.clear()
-    machine_mod._SRAM_MEMO.clear()
+    machine_mod.clear_device_memo()
     fig20_mod._CAPPED_MEMO.clear()
     stats_mod._NONEMPTY_MEMO.clear()
     partition_mod._PARTITION_MEMO.clear()

@@ -4,10 +4,12 @@ An **oracle** takes a :class:`~repro.verify.cases.Case` and raises
 :class:`~repro.errors.VerificationError` when two execution paths that
 promise identical results disagree.  Three families are registered:
 
-* *cross-engine report identity* — serial ``AcceleratorMachine.run``
+* *cross-engine report identity* — the scalar reference fold
+  (:mod:`repro.verify.reference`) vs serial ``AcceleratorMachine.run``
   vs ``fold_many`` vs ``run_grid`` vs a cache-warm replay vs the
   (batched / unbatched / ``max_workers=N``) sweep drivers, compared
-  field-for-field including the energy-dict insertion order;
+  field-for-field including the energy-dict insertion order, with and
+  without a fault profile;
 * *algorithm-output equivalence* — the edge-centric vectorized,
   block-major and vertex-centric executors must agree on the value
   vector (bit-exact for the min-based algorithms, 1e-12 relative for
@@ -49,11 +51,12 @@ from ..arch.report import EnergyReport
 from ..arch.scheduler import ScheduleCounts
 from ..arch.sweep import SweepPolicy, points_to_csv, sweep
 from ..errors import VerificationError
-from ..faults import FaultProfile
+from ..faults import FaultProfile, FaultReport, make_profile
 from ..faults.chaos import ChaosProfile, chaos_context
 from ..perf.batch import run_grid, scheduled_counts
 from ..perf.cache import temporary_run_cache
 from .cases import Case
+from .reference import reference_run
 
 #: Algorithms whose executors are bit-identical everywhere (min-based
 #: updates commute exactly); the sum-based rest carry accumulation-order
@@ -205,28 +208,67 @@ def _partition(values: np.ndarray) -> set[frozenset[int]]:
 
 # --- cross-engine report identity --------------------------------------------
 
+#: Non-zero fault profiles the engine-identity oracle cycles through
+#: (picked by case seed), so every fault effect reaches the kernel.
+ENGINE_FAULT_PROFILES = ("mild", "harsh", "worn")
+
+
+def assert_fault_reports_identical(
+    a: FaultReport | None, b: FaultReport | None, context: str
+) -> None:
+    """Both absent, or equal field for field (floats bit-exact)."""
+    if a is None or b is None:
+        if a is not b:
+            fail(f"{context}: fault report {a!r} vs {b!r}")
+        return
+    da, db = a.to_dict(), b.to_dict()
+    diffs = [f"{k}: {da[k]!r} != {db[k]!r}" for k in da if da[k] != db[k]]
+    if diffs:
+        fail(f"{context}: fault reports differ — " + "; ".join(diffs))
+
+
 @oracle(
     "engine-identity",
-    "serial run == cache-warm replay == fold_many == run_grid, "
-    "field-for-field",
+    "scalar reference == serial run == cache-warm replay == fold_many "
+    "== run_grid, field-for-field, fault-free and under a fault profile",
 )
 def engine_report_identity(case: Case) -> None:
     graph = case.graph()
     workload = case.workload(graph)
     config = case.config()
-    serial = AcceleratorMachine(config).run(
-        case.make_algorithm(graph), workload
+    profile = make_profile(
+        ENGINE_FAULT_PROFILES[case.seed % len(ENGINE_FAULT_PROFILES)],
+        seed=case.seed,
     )
-    warm = AcceleratorMachine(config).run(
-        case.make_algorithm(graph), workload
-    )
-    assert_reports_identical(serial.report, warm.report,
-                             "cache-warm replay")
-    counts = scheduled_counts(serial.run, workload, config)
-    folded = fold_many(serial.run, counts, workload, [config])[0]
-    assert_reports_identical(serial.report, folded, "fold_many")
-    gridded = run_grid(case.make_algorithm(graph), workload, [config])[0]
-    assert_reports_identical(serial.report, gridded.report, "run_grid")
+    for faults in (None, profile):
+        where = "" if faults is None else " (faulted)"
+        serial, warm = (
+            AcceleratorMachine(config, faults=faults).run(
+                case.make_algorithm(graph), workload
+            )
+            for _ in range(2)
+        )
+        expected = reference_run(config, case.make_algorithm(graph),
+                                 workload, faults)
+        for context, result in (("serial run", serial),
+                                ("cache-warm replay", warm)):
+            assert_reports_identical(expected.report, result.report,
+                                     context + where)
+            assert_fault_reports_identical(expected.faults, result.faults,
+                                           context + where)
+        counts = scheduled_counts(serial.run, workload, config)
+        fault_reports: list = []
+        [folded] = fold_many(serial.run, counts, workload, [config],
+                             faults=faults, fault_reports=fault_reports)
+        assert_reports_identical(expected.report, folded, "fold_many" + where)
+        assert_fault_reports_identical(expected.faults, fault_reports[0],
+                                       "fold_many" + where)
+        [gridded] = run_grid(case.make_algorithm(graph), workload, [config],
+                             faults=faults)
+        assert_reports_identical(expected.report, gridded.report,
+                                 "run_grid" + where)
+        assert_fault_reports_identical(expected.faults, gridded.faults,
+                                       "run_grid" + where)
 
 
 @oracle(
@@ -565,14 +607,20 @@ def zero_fault_passthrough(case: Case) -> None:
     graph = case.graph()
     workload = case.workload(graph)
     config = case.config()
+    zero = FaultProfile.zero(seed=case.seed)
     plain = AcceleratorMachine(config).run(
         case.make_algorithm(graph), workload
     )
-    zeroed = AcceleratorMachine(
-        config, faults=FaultProfile.zero(seed=case.seed)
-    ).run(case.make_algorithm(graph), workload)
-    assert_reports_identical(plain.report, zeroed.report,
-                             "zero-fault profile")
+    zeroed = AcceleratorMachine(config, faults=zero).run(
+        case.make_algorithm(graph), workload
+    )
+    reference = reference_run(config, case.make_algorithm(graph), workload,
+                              zero)
+    for context, result in (("zero-fault profile", zeroed),
+                            ("zero-fault reference", reference)):
+        assert_reports_identical(plain.report, result.report, context)
+        if result.faults is not None:
+            fail(f"{context}: produced a fault report")
     assert_values_match(case, plain.run.values, zeroed.run.values,
                         "zero-fault profile values")
 

@@ -3,16 +3,23 @@
 The contract under test is *bit-identity*: the memoized counts plus the
 vectorized fold must reproduce the serial pipeline exactly — same
 report fields, same energy-dict insertion order, same ``repr`` of every
-float — across machines, algorithms, workloads, fault fallback, and
-the sweep's batched serial path.
+float — across machines, algorithms, workloads, fault profiles, and
+the sweep's batched serial path.  Faulted grids are pinned against the
+scalar reference fold in :mod:`repro.verify.reference`.
 """
 
+import importlib
 import json
 
 import pytest
 
-from repro.algorithms import ConnectedComponents, PageRank
-from repro.arch.config import NAMED_CONFIGS, HyVEConfig, Workload
+from repro.algorithms import BFS, ConnectedComponents, PageRank
+from repro.arch.config import (
+    NAMED_CONFIGS,
+    HyVEConfig,
+    MemoryTechnology,
+    Workload,
+)
 from repro.arch.machine import AcceleratorMachine, fold_many
 from repro.arch.sweep import SweepPolicy, points_to_csv, sweep
 from repro.errors import ConfigError
@@ -25,6 +32,7 @@ from repro.perf.batch import (
 )
 from repro.perf.cache import RunCache, get_run_cache, set_run_cache
 from repro.units import MB
+from repro.verify.reference import reference_run
 
 
 def _assert_reports_identical(batched, serial) -> None:
@@ -96,18 +104,40 @@ class TestFoldManyIdentity:
         assert sorted(map(sorted, groups.values())) == [[0, 2], [1]]
 
 
-class TestFaultFallback:
-    def test_faulted_grid_matches_serial(self, workloads):
+class TestFaultedGrid:
+    def test_faulted_grid_matches_reference(self, workloads):
         workload = workloads["small"]
-        faults = make_profile("mild", seed=7)
         configs = [make() for make in NAMED_CONFIGS.values()]
-        batched = run_grid(PageRank(), workload, configs, faults=faults)
-        for config, result in zip(configs, batched):
-            serial = AcceleratorMachine(config, faults=faults).run(
-                PageRank(), workload
-            )
-            _assert_reports_identical(result.report, serial.report)
-            assert result.faults is not None
+        for name in ("mild", "harsh", "worn"):
+            faults = make_profile(name, seed=7)
+            batched = run_grid(PageRank(), workload, configs, faults=faults)
+            for config, result in zip(configs, batched):
+                expected = reference_run(config, PageRank(), workload,
+                                         faults)
+                serial = AcceleratorMachine(config, faults=faults).run(
+                    PageRank(), workload
+                )
+                for got in (result, serial):
+                    _assert_reports_identical(got.report, expected.report)
+                    assert got.faults.to_dict() == expected.faults.to_dict()
+
+    def test_every_fault_effect_matches_reference(self):
+        """A dataset-scale grid where spare chips, failed banks under
+        BPG and write-verify on ReRAM vertex memory all occur."""
+        workload = Workload.from_dataset("TW")
+        configs = [make() for make in NAMED_CONFIGS.values()]
+        configs.append(HyVEConfig(label="opt-reram-vertex",
+                                  offchip_vertex=MemoryTechnology.RERAM))
+        for name in ("harsh", "worn"):
+            faults = make_profile(name, seed=11)
+            grid = run_grid(BFS(), workload, configs, faults=faults)
+            for config, result in zip(configs, grid):
+                expected = reference_run(config, BFS(), workload, faults)
+                _assert_reports_identical(result.report, expected.report)
+                assert result.faults.to_dict() == expected.faults.to_dict()
+            assert any(r.faults.spare_chips for r in grid)
+            assert grid[-1].faults.failed_banks
+            assert grid[-1].faults.expected_write_rounds > 1.0
 
 
 class TestCountsCache:
@@ -193,15 +223,31 @@ class TestBatchedSweep:
         for line in ckpt_a.read_text().splitlines():
             json.loads(line)  # every record stays valid JSON
 
-    def test_faulted_sweep_not_batched_still_identical(self, small_rmat):
+    def test_faulted_sweep_batched_matches_reference(self, small_rmat,
+                                                     monkeypatch):
+        # The package re-exports a ``sweep`` function that shadows the
+        # submodule attribute, so look the module up by name.
+        sweep_mod = importlib.import_module("repro.arch.sweep")
         workload = Workload(small_rmat)
         faults = make_profile("mild", seed=3)
         batched_policy, serial_policy = self._policies()
-        a = sweep("num_pus", [4, 8], PageRank, workload,
+        batches = []
+
+        def counting_fold_many(*args, **kwargs):
+            batches.append(len(args[3]))
+            return fold_many(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "fold_many", counting_fold_many)
+        a = sweep("region_hit_rate", [0.5, 1.0], PageRank, workload,
                   policy=batched_policy, faults=faults)
-        b = sweep("num_pus", [4, 8], PageRank, workload,
+        assert batches == [2]  # one batched pass prices both points
+        b = sweep("region_hit_rate", [0.5, 1.0], PageRank, workload,
                   policy=serial_policy, faults=faults)
         assert points_to_csv(a) == points_to_csv(b)
+        for point in a:
+            expected = reference_run(point.config, PageRank(), workload,
+                                     faults)
+            _assert_reports_identical(point.report, expected.report)
 
 
 class TestImbalanceMemo:

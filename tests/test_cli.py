@@ -134,6 +134,18 @@ class TestErrorExits:
         assert "bad.txt:2" in err
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("header", [
+        {"schema": "hyve-updates-v1"},
+        {"schema": "hyve-updates-v1", "num_vertices": "many"},
+    ], ids=["missing", "non-integer"])
+    def test_bad_update_log_header_exits_2(self, tmp_path, capsys, header):
+        log = tmp_path / "bad.jsonl"
+        log.write_text(json.dumps(header) + "\n")
+        assert main(["stream", "--log", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad.jsonl:1" in err
+        assert err.count("\n") == 1
+
 
 class TestExperiment:
     def test_single_experiment_no_save(self, capsys):

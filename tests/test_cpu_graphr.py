@@ -9,10 +9,13 @@ from repro.arch.crossbar import (
     CrossbarModel,
     MV_ALGORITHMS,
 )
-from repro.arch.graphr import GraphRConfig, GraphRMachine
+from repro.arch.config import Workload
+from repro.arch.graphr import GraphRConfig, GraphRMachine, run_many
 from repro.arch.machine import make_machine
 from repro.errors import ConfigError
-from repro.units import NJ
+from repro.memory.reram import ReRAMConfig
+from repro.units import GBIT, NJ
+from repro.verify.reference import reference_run
 
 
 class TestCPUMachine:
@@ -119,3 +122,23 @@ class TestGraphRMachine:
 
     def test_config_label(self):
         assert GraphRMachine(GraphRConfig(label="gr2")).label == "gr2"
+
+    def test_run_and_batch_match_reference(self, yt_workload, small_rmat):
+        """run() (a one-cell kernel call) and run_many() both reprice
+        every cell exactly like the scalar reference fold."""
+        jobs = [(factory, workload)
+                for factory in (PageRank, BFS, SpMV)
+                for workload in (yt_workload, Workload(small_rmat))]
+        for config in (GraphRConfig(),
+                       GraphRConfig(label="gr4", num_crossbar_groups=4,
+                                    reram=ReRAMConfig(density_bits=8 * GBIT))):
+            machine = GraphRMachine(config)
+            batched = run_many(machine, [(f(), w) for f, w in jobs])
+            for (factory, workload), result in zip(jobs, batched):
+                expected = reference_run(config, factory(), workload)
+                serial = machine.run(factory(), workload)
+                for got in (serial, result):
+                    assert got.report.to_dict() == expected.report.to_dict()
+                    assert list(got.report.energy) == list(
+                        expected.report.energy
+                    )

@@ -138,6 +138,19 @@ class TestBinary:
         assert loaded.num_vertices == 7
         assert loaded.num_edges == 0
 
+    def test_corrupt_archive_raises_graph_error(self, medium_rmat, tmp_path):
+        path = tmp_path / "g.npz"
+        io.save_binary(medium_rmat, path)
+        path.write_bytes(path.read_bytes()[:100])  # truncated zip
+        with pytest.raises(GraphError, match="g.npz"):
+            io.load_binary(path)
+
+    def test_missing_array_raises_graph_error(self, tmp_path):
+        path = tmp_path / "partial.npz"
+        np.savez(path, src=np.zeros(3, dtype=np.int32))
+        with pytest.raises(GraphError, match="partial.npz.*num_vertices"):
+            io.load_binary(path)
+
 
 class TestSerializedLayout:
     def test_interval_record_shape(self, tiny_graph):

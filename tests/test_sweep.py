@@ -1,6 +1,7 @@
 """Tests for the generic design-space sweep helper."""
 
 import json
+import time
 
 import pytest
 
@@ -88,12 +89,16 @@ class TestRobustSweep:
         assert best_point(points).ok
         assert all(p.ok for p in pareto_front(points))
 
-    def test_timeout_counts_as_failure(self):
-        # Fresh graph: a cold run cache keeps the evaluation well past
-        # the timeout (a warm one can finish inside a GIL slice).
-        graph = rmat(2048, 16000, seed=31, name="sweep-timeout")
-        policy = SweepPolicy(timeout=1e-4, isolate_errors=True)
-        points = sweep("num_pus", [4], PageRank, graph, policy=policy)
+    def test_timeout_counts_as_failure(self, workload):
+        def slow_factory():
+            # Sleeping releases the GIL, so the sweep's wait expires while
+            # the attempt still runs; a compute-bound attempt can hold the
+            # GIL until it finishes and beat even a tiny timeout.
+            time.sleep(0.2)
+            return PageRank()
+
+        policy = SweepPolicy(timeout=1e-2, isolate_errors=True)
+        points = sweep("num_pus", [4], slow_factory, workload, policy=policy)
         assert not points[0].ok
         assert "timeout" in points[0].error
 
