@@ -14,6 +14,7 @@ from .spmv import SpMV
 from .runner import (
     AlgorithmRun,
     clear_run_cache,
+    converge,
     run_blocked,
     run_cached,
     run_vectorized,
@@ -58,6 +59,7 @@ __all__ = [
     "SpMV",
     "AlgorithmRun",
     "clear_run_cache",
+    "converge",
     "run_blocked",
     "run_cached",
     "run_vectorized",

@@ -82,15 +82,18 @@ class EdgeCentricAlgorithm:
         """Per-vertex state before the first iteration."""
         raise NotImplementedError
 
+    def initial_frontier(self, graph: Graph) -> np.ndarray:
+        """Mask of the vertices whose initial value can propagate: all
+        of them, unless the algorithm starts from a root (BFS, SSSP)."""
+        return np.ones(graph.num_vertices, dtype=bool)
+
     def initial_active(self, graph: Graph) -> int:
-        """Vertices whose initial value can propagate along an edge.
+        """Number of vertices in :meth:`initial_frontier`.
 
         The scheduler loads a source interval only if it holds at least
-        one vertex whose value changed (active-interval scheduling);
-        point-initialised algorithms (BFS, SSSP) start with a single
-        active vertex, everything else with all of them.
+        one vertex whose value changed (active-interval scheduling).
         """
-        return graph.num_vertices
+        return int(np.count_nonzero(self.initial_frontier(graph)))
 
     def iteration_start(self, prev: np.ndarray, graph: Graph) -> np.ndarray:
         """State a fresh iteration accumulates into.

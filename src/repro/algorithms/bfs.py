@@ -44,8 +44,11 @@ class BFS(EdgeCentricAlgorithm):
         levels[self.root] = 0
         return levels
 
-    def initial_active(self, graph: Graph) -> int:
-        return 1  # only the root/source can propagate initially
+    def initial_frontier(self, graph: Graph) -> np.ndarray:
+        # Only the root can propagate initially.
+        frontier = np.zeros(graph.num_vertices, dtype=bool)
+        frontier[self.root] = True
+        return frontier
 
     def process_edges(self, prev, acc, src, dst, weights, graph) -> None:
         reached = prev[src] != UNREACHED

@@ -1,14 +1,20 @@
-"""Edge-centric executor: actually runs algorithms and yields the trace.
+"""Edge-centric execution: one convergence loop, several edge orders.
 
-Two execution strategies produce bit-identical results (a property the
-tests verify):
+Algorithm 2 only changes the order in which Algorithm 1's loop streams
+each iteration's edges, so there is one loop, :func:`converge`, and
+each executor hands it a *sweep* that streams the edges in its order:
 
-* :func:`run_vectorized` — one whole-graph pass per iteration; fastest,
-  used to obtain results and iteration counts.
-* :func:`run_blocked` — walks blocks in the exact super-block order of
-  Algorithm 2 (including round-robin data sharing across PUs); used to
-  validate that the schedule computes the same answer and to honour the
-  synchronous semantics the architecture relies on.
+* :func:`run_vectorized` — one whole-graph pass; fastest, used to
+  obtain results and iteration counts.
+* :func:`run_blocked` — the exact super-block order of Algorithm 2
+  (round-robin data sharing across PUs included), validating that the
+  schedule computes the same answer.
+* :func:`repro.graph.shards.run_sharded` — one shard of an on-disk
+  store at a time (out of core).
+
+They agree exactly for min-based algorithms and within 1e-12 for the
+sum-based ones (the tests verify it).  The vertex-centric executor is
+a different execution model with its own loop.
 
 The *trace* the architecture model consumes is deliberately small: the
 iteration count and per-iteration edge activity — every other access
@@ -18,14 +24,15 @@ count follows analytically from the schedule (Equations (3), (4), (7),
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..errors import ConvergenceError
 from ..graph.graph import Graph
 from ..graph.partition import IntervalBlockPartition
+from ..memo import BoundedMemo
 from ..obs import metrics as obs_metrics
 from ..obs.trace import get_tracer
 from .base import EdgeCentricAlgorithm
@@ -65,30 +72,31 @@ class AlgorithmRun:
         return self.iterations * self.edges_per_iteration
 
 
-def run_vectorized(
-    algorithm: EdgeCentricAlgorithm, graph: Graph
+def converge(
+    algorithm: EdgeCentricAlgorithm,
+    streamed: Graph,
+    sweep: Callable[[np.ndarray, np.ndarray, int], None],
+    executor: str,
 ) -> AlgorithmRun:
-    """Execute with one whole-graph edge pass per iteration."""
+    """Run ``algorithm`` on ``streamed`` to convergence (Algorithm 1).
+
+    Each iteration starts the accumulator, lets ``sweep(values, acc,
+    iteration)`` stream every edge through ``process_edges`` in the
+    executor's order, then runs the ``apply`` phase.  Updates read
+    previous-iteration source values only, so the order never changes
+    the answer.
+    """
     tracer = get_tracer()
-    with tracer.span("preprocess", executor="vectorized", graph=graph.name):
-        streamed = algorithm.transform_graph(graph)
     values = algorithm.initial_values(streamed)
     active = algorithm.initial_active(streamed)
     active_sources: list[int] = []
     iterations = 0
-    with tracer.span(
-        "converge",
-        executor="vectorized",
-        algorithm=algorithm.name,
-        graph=streamed.name,
-    ):
+    with tracer.span("converge", executor=executor,
+                     algorithm=algorithm.name, graph=streamed.name):
         while True:
             active_sources.append(active)
             acc = algorithm.iteration_start(values, streamed)
-            algorithm.process_edges(
-                values, acc, streamed.src, streamed.dst, streamed.weights,
-                streamed,
-            )
+            sweep(values, acc, iterations)
             with tracer.span("apply", iteration=iterations):
                 result = algorithm.iteration_end(
                     values, acc, streamed, iterations
@@ -121,6 +129,21 @@ def run_vectorized(
     )
 
 
+def run_vectorized(
+    algorithm: EdgeCentricAlgorithm, graph: Graph
+) -> AlgorithmRun:
+    """Execute with one whole-graph edge pass per iteration."""
+    with get_tracer().span("preprocess", executor="vectorized",
+                           graph=graph.name):
+        streamed = algorithm.transform_graph(graph)
+
+    def sweep(values, acc, iteration):
+        algorithm.process_edges(values, acc, streamed.src, streamed.dst,
+                                streamed.weights, streamed)
+
+    return converge(algorithm, streamed, sweep, "vectorized")
+
+
 def run_blocked(
     algorithm: EdgeCentricAlgorithm,
     graph: Graph,
@@ -137,11 +160,6 @@ def run_blocked(
     Within a super block the N blocks sharing a source interval are
     adjacent, so a whole super block dispatches to ``process_edges`` in
     at most N fused calls (one per source-interval row) instead of N^2.
-
-    The round-robin step structure of Algorithm 2 only affects *when* a
-    block is processed, never the answer: updates read
-    previous-iteration source values only, so any order within an
-    iteration computes the same result as :func:`run_vectorized`.
     """
     tracer = get_tracer()
     with tracer.span("preprocess", executor="blocked", graph=graph.name,
@@ -152,80 +170,26 @@ def run_blocked(
         partition.num_super_blocks(num_pus)  # validates divisibility
         bm_src, bm_dst, bm_weights = partition.streamed_edges
 
-    values = algorithm.initial_values(streamed)
-    active = algorithm.initial_active(streamed)
-    active_sources: list[int] = []
-    iterations = 0
-    while True:
-        active_sources.append(active)
-        acc = algorithm.iteration_start(values, streamed)
-        traced = tracer.enabled
+    def sweep(values, acc, iteration):
         for y in range(q):
             j_start = y * num_pus
             j_stop = j_start + num_pus
-            row_span = (
-                tracer.span("superblock_row", iteration=iterations, y=y)
-                if traced else None
-            )
-            if row_span is not None:
-                row_span.__enter__()
-            try:
-                for x in range(q):
-                    for i in range(x * num_pus, (x + 1) * num_pus):
-                        sel = partition.block_row_slice(i, j_start, j_stop)
-                        if sel.start == sel.stop:
-                            continue
-                        if traced:
-                            with tracer.span("block_dispatch", row=i,
-                                             j_start=j_start, j_stop=j_stop,
-                                             edges=sel.stop - sel.start):
-                                algorithm.process_edges(
-                                    values, acc, bm_src[sel], bm_dst[sel],
-                                    None if bm_weights is None
-                                    else bm_weights[sel],
-                                    streamed,
-                                )
-                        else:
-                            algorithm.process_edges(
-                                values,
-                                acc,
-                                bm_src[sel],
-                                bm_dst[sel],
-                                None if bm_weights is None
-                                else bm_weights[sel],
-                                streamed,
-                            )
-            finally:
-                if row_span is not None:
-                    row_span.__exit__(None, None, None)
-        with tracer.span("apply", iteration=iterations):
-            result = algorithm.iteration_end(values, acc, streamed,
-                                             iterations)
-        values = result.values
-        active = result.active_vertices
-        iterations += 1
-        if result.converged:
-            break
-        if iterations > algorithm.max_iterations:
-            raise ConvergenceError(
-                f"{algorithm.name} exceeded {algorithm.max_iterations} sweeps"
-            )
-    metrics = obs_metrics.get_metrics()
-    metrics.counter(obs_metrics.EXECUTOR_EDGES).add(
-        iterations * streamed.num_edges
-    )
-    metrics.histogram(obs_metrics.CONVERGENCE_ITERATIONS).observe(iterations)
-    return AlgorithmRun(
-        algorithm=algorithm.name,
-        graph_name=streamed.name,
-        values=values,
-        iterations=iterations,
-        num_vertices=streamed.num_vertices,
-        edges_per_iteration=streamed.num_edges,
-        vertex_bits=algorithm.vertex_bits,
-        edge_bits=algorithm.edge_bits,
-        active_sources=tuple(active_sources),
-    )
+            with tracer.span("superblock_row", iteration=iteration, y=y):
+                # Every source row i, in Algorithm 2's (x, pu) order.
+                for i in range(num_intervals):
+                    sel = partition.block_row_slice(i, j_start, j_stop)
+                    if sel.start == sel.stop:
+                        continue
+                    with tracer.span("block_dispatch", row=i,
+                                     j_start=j_start, j_stop=j_stop,
+                                     edges=sel.stop - sel.start):
+                        algorithm.process_edges(
+                            values, acc, bm_src[sel], bm_dst[sel],
+                            None if bm_weights is None else bm_weights[sel],
+                            streamed,
+                        )
+
+    return converge(algorithm, streamed, sweep, "blocked")
 
 
 # --- streamed-transform memo ------------------------------------------------
@@ -236,24 +200,17 @@ def run_blocked(
 #: repeated runs (and the GraphR shape statistics) reuse one object —
 #: and therefore one memoised fingerprint — instead of rebuilding and
 #: re-hashing O(E) arrays each time.
-_TRANSFORM_MEMO: "OrderedDict[tuple[str, str], Graph]" = OrderedDict()
-_TRANSFORM_MEMO_CAPACITY = 64
+_TRANSFORM_MEMO = BoundedMemo("algorithms.transform", capacity=64)
 
 
 def transform_cached(
     algorithm: EdgeCentricAlgorithm, graph: Graph
 ) -> Graph:
     """Memoised ``algorithm.transform_graph(graph)``."""
-    key = (graph.fingerprint(), algorithm.signature())
-    streamed = _TRANSFORM_MEMO.get(key)
-    if streamed is not None:
-        _TRANSFORM_MEMO.move_to_end(key)
-        return streamed
-    streamed = algorithm.transform_graph(graph)
-    _TRANSFORM_MEMO[key] = streamed
-    while len(_TRANSFORM_MEMO) > _TRANSFORM_MEMO_CAPACITY:
-        _TRANSFORM_MEMO.popitem(last=False)
-    return streamed
+    return _TRANSFORM_MEMO.get_or_compute(
+        (graph.fingerprint(), algorithm.signature()),
+        lambda: algorithm.transform_graph(graph),
+    )
 
 
 # --- run cache -------------------------------------------------------------
@@ -295,14 +252,3 @@ def clear_run_cache() -> None:
 
     get_run_cache().clear(disk=False)
 
-
-def _signature(algorithm: EdgeCentricAlgorithm) -> str:
-    """Algorithm cache key; see :meth:`EdgeCentricAlgorithm.signature`.
-
-    Historical note: this used to hash a hardcoded attribute list
-    (``damping``, ``tolerance``, ...), silently colliding for any
-    algorithm with a differently named — or underscore-prefixed —
-    parameter (SpMV's input vector).  The signature is now derived from
-    the instance state itself.
-    """
-    return algorithm.signature()

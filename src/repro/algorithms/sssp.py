@@ -49,8 +49,11 @@ class SSSP(EdgeCentricAlgorithm):
         dist[self.source] = 0.0
         return dist
 
-    def initial_active(self, graph: Graph) -> int:
-        return 1  # only the root/source can propagate initially
+    def initial_frontier(self, graph: Graph) -> np.ndarray:
+        # Only the source can propagate initially.
+        frontier = np.zeros(graph.num_vertices, dtype=bool)
+        frontier[self.source] = True
+        return frontier
 
     def process_edges(self, prev, acc, src, dst, weights, graph) -> None:
         reached = np.isfinite(prev[src])

@@ -14,13 +14,13 @@ executor for every algorithm in this library; the tests verify that.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConvergenceError
 from ..graph.graph import Graph
+from ..memo import BoundedMemo
 from ..obs import metrics as obs_metrics
 from .base import EdgeCentricAlgorithm
 from .runner import AlgorithmRun, transform_cached
@@ -56,18 +56,17 @@ class VertexCentricRun:
 #: stable argsort behind CSR construction is O(E log E) and was paid on
 #: *every* vertex-centric run; the adjacency is pure graph shape, so
 #: repeated runs (the execution-model ablation prices 15 of them per
-#: sweep) reuse one build.  Bounded like ``_TRANSFORM_MEMO``.
-_CSR_MEMO: "OrderedDict[str, tuple]" = OrderedDict()
-_CSR_MEMO_CAPACITY = 64
+#: sweep) reuse one build.
+_CSR_MEMO = BoundedMemo("algorithms.csr", capacity=64)
 
 
 def _csr(graph: Graph):
     """CSR adjacency: out-edges of each vertex, contiguous (memoised)."""
-    key = graph.fingerprint()
-    entry = _CSR_MEMO.get(key)
-    if entry is not None:
-        _CSR_MEMO.move_to_end(key)
-        return entry
+    return _CSR_MEMO.get_or_compute(graph.fingerprint(),
+                                    lambda: _build_csr(graph))
+
+
+def _build_csr(graph: Graph):
     # numpy's radix path behind kind="stable" only covers <= 16-bit
     # keys; wider ints fall back to merge sort, several times slower.
     # Any stable sort yields the same permutation, so the CSR (and
@@ -91,11 +90,7 @@ def _csr(graph: Graph):
     indptr = np.zeros(graph.num_vertices + 1, dtype=np.int64)
     counts = np.bincount(src, minlength=graph.num_vertices)
     np.cumsum(counts, out=indptr[1:])
-    entry = (indptr, src, dst, weights)
-    _CSR_MEMO[key] = entry
-    while len(_CSR_MEMO) > _CSR_MEMO_CAPACITY:
-        _CSR_MEMO.popitem(last=False)
-    return entry
+    return indptr, src, dst, weights
 
 
 def run_vertex_centric(
@@ -106,15 +101,10 @@ def run_vertex_centric(
     indptr, src, dst, weights = _csr(streamed)
     values = algorithm.initial_values(streamed)
 
-    # Initially-active vertices: point-initialised algorithms start from
-    # their single seed; everything else starts fully active.
-    if (not algorithm.supports_frontier
-            or algorithm.initial_active(streamed) >= streamed.num_vertices):
-        active = np.ones(streamed.num_vertices, dtype=bool)
+    if algorithm.supports_frontier:
+        active = algorithm.initial_frontier(streamed)
     else:
-        uniques, inverse = np.unique(values, return_inverse=True)
-        bulk = np.bincount(inverse).argmax()
-        active = values != uniques[bulk]
+        active = np.ones(streamed.num_vertices, dtype=bool)
 
     edges_examined = 0
     vertices_scanned = 0

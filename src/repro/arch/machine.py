@@ -19,7 +19,6 @@ reference it is checked against lives in :mod:`repro.verify.reference`.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,6 +43,7 @@ from ..memory.ecc import SECDEDDevice, secded_factor, secded_logic_energy
 from ..memory.powergate import BankPowerGating, GatingReport
 from ..memory.reram import ReRAMChip, ReRAMConfig
 from ..memory.sram import OnChipSRAM
+from ..memo import BoundedMemo
 from ..obs import metrics as obs_metrics
 from ..obs.trace import get_tracer
 from . import params, report as rpt
@@ -178,19 +178,10 @@ class DeviceCosts(NamedTuple):
 #: wrap).  Device models are pure cost functions of their frozen configs
 #: (stats helpers are never called on this path), so instances can be
 #: shared; ReRAM construction in particular runs an NVSim-lite solve
-#: worth caching.
-_DEVICE_MEMO: OrderedDict = OrderedDict()
-_DEVICE_MEMO_CAP = 128
-
-
-def clear_device_memo() -> None:
-    """Drop every memoized device model.
-
-    The memo assumes a device's costs follow from its frozen config
-    alone; code that rescales a device module's calibration constant
-    (the sensitivity study) clears it on both sides of the change.
-    """
-    _DEVICE_MEMO.clear()
+#: worth caching.  Code that rescales a device module's calibration
+#: constant (the sensitivity study) clears the memo on both sides of
+#: the change.
+DEVICE_MEMO = BoundedMemo("arch.device", capacity=128)
 
 
 def _device_costs(device: MemoryDevice) -> DeviceCosts:
@@ -208,10 +199,9 @@ def _shared_device(
 ) -> tuple[MemoryDevice, DeviceCosts]:
     """The memoized device for ``spec`` — a ReRAM or DRAM chip config, or
     an on-chip SRAM capacity in bits — SECDED-wrapped if ``ecc``, with
-    its unit costs (LRU, :data:`_DEVICE_MEMO_CAP` entries)."""
-    key = (spec, ecc)
-    entry = _DEVICE_MEMO.get(key)
-    if entry is None:
+    its unit costs (:data:`DEVICE_MEMO`)."""
+
+    def build() -> tuple[MemoryDevice, DeviceCosts]:
         if ecc:
             device: MemoryDevice = SECDEDDevice(_shared_device(spec)[0])
         elif isinstance(spec, ReRAMConfig):
@@ -220,13 +210,9 @@ def _shared_device(
             device = DDR4Chip(spec)
         else:
             device = OnChipSRAM(spec)
-        entry = (device, _device_costs(device))
-        _DEVICE_MEMO[key] = entry
-        if len(_DEVICE_MEMO) > _DEVICE_MEMO_CAP:
-            _DEVICE_MEMO.popitem(last=False)
-    else:
-        _DEVICE_MEMO.move_to_end(key)
-    return entry
+        return device, _device_costs(device)
+
+    return DEVICE_MEMO.get_or_compute((spec, ecc), build)
 
 
 def _level_config(cfg: HyVEConfig, tech: str) -> ReRAMConfig | DRAMConfig:

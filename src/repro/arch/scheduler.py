@@ -20,13 +20,12 @@ Counts are computed at the workload's reported scale (see
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..algorithms.runner import AlgorithmRun
 from ..errors import ConfigError
 from ..graph.hash_partition import hash_partition, imbalance
-from ..obs import metrics as obs_metrics
+from ..memo import BoundedMemo
 from ..obs.trace import get_tracer
 from .config import HyVEConfig, Workload, choose_num_intervals
 
@@ -36,27 +35,10 @@ from .config import HyVEConfig, Workload, choose_num_intervals
 #: reference partition is used (documented model approximation).
 _IMBALANCE_REFERENCE_MULTIPLE = 8
 
-#: In-process imbalance memo, LRU-bounded: a long-lived sweep process
-#: touching many graphs must not grow it without limit (disk-level
-#: reuse stays in the run cache's scalar store).
-_IMBALANCE_CACHE: OrderedDict[tuple[str, int, bool], float] = OrderedDict()
-_IMBALANCE_CACHE_CAP = 128
-
-
-def _imbalance_remember(key: tuple[str, int, bool], value: float) -> None:
-    _IMBALANCE_CACHE[key] = value
-    _IMBALANCE_CACHE.move_to_end(key)
-    while len(_IMBALANCE_CACHE) > _IMBALANCE_CACHE_CAP:
-        _IMBALANCE_CACHE.popitem(last=False)
-    obs_metrics.get_metrics().gauge(
-        obs_metrics.IMBALANCE_CACHE_SIZE
-    ).set(len(_IMBALANCE_CACHE))
-
-
-def clear_imbalance_cache() -> None:
-    """Drop the in-process imbalance memo (tests and identity oracles
-    that must prove two paths compute — not recall — the same value)."""
-    _IMBALANCE_CACHE.clear()
+#: Imbalance estimates by ``(graph fingerprint, N, hash placement)``.
+#: Identity oracles clear it to prove that two paths compute — not
+#: recall — the same value.
+IMBALANCE_MEMO = BoundedMemo("arch.imbalance", capacity=128)
 
 
 def imbalance_reference_intervals(num_vertices: int, num_pus: int) -> int:
@@ -92,9 +74,8 @@ def seed_imbalance(graph, num_pus: int, hash_placement: bool,
         f"imbalance-n{num_pus}-hash{int(hash_placement)}", graph,
         lambda: value,
     )
-    _imbalance_remember(
-        (graph.fingerprint(), num_pus, hash_placement), stored
-    )
+    IMBALANCE_MEMO.put((graph.fingerprint(), num_pus, hash_placement),
+                       stored)
     return stored
 
 
@@ -110,11 +91,6 @@ def estimate_imbalance(run: AlgorithmRun, workload: Workload,
     share a single estimate instead of recomputing it each.
     """
     graph = workload.graph
-    key = (graph.fingerprint(), num_pus, hash_placement)
-    hit = _IMBALANCE_CACHE.get(key)
-    if hit is not None:
-        _IMBALANCE_CACHE.move_to_end(key)
-        return hit
 
     def compute() -> float:
         # The streamed graph may differ (CC symmetrises); imbalance of
@@ -127,11 +103,13 @@ def estimate_imbalance(run: AlgorithmRun, workload: Workload,
 
     from ..perf.cache import get_run_cache
 
-    value = get_run_cache().get_or_scalar(
-        f"imbalance-n{num_pus}-hash{int(hash_placement)}", graph, compute
+    return IMBALANCE_MEMO.get_or_compute(
+        (graph.fingerprint(), num_pus, hash_placement),
+        lambda: get_run_cache().get_or_scalar(
+            f"imbalance-n{num_pus}-hash{int(hash_placement)}", graph,
+            compute,
+        ),
     )
-    _imbalance_remember(key, value)
-    return value
 
 
 def _compute_imbalance(graph, num_pus: int, hash_placement: bool) -> float:

@@ -68,18 +68,7 @@ def measure_schedule(
     values = algorithm.initial_values(streamed)
     # "Changed entering the iteration": initially the point-initialised
     # vertices (BFS root) or everything (PR/CC).
-    changed = np.zeros(streamed.num_vertices, dtype=bool)
-    initial_active = algorithm.initial_active(streamed)
-    if initial_active >= streamed.num_vertices:
-        changed[:] = True
-    else:
-        # Point initialisation: mark the vertices whose value differs
-        # from the bulk (e.g. the BFS root's 0 among sentinels).
-        bulk = np.bincount(
-            np.unique(values, return_inverse=True)[1]
-        ).argmax()
-        uniques = np.unique(values)
-        changed = values != uniques[bulk]
+    changed = algorithm.initial_frontier(streamed)
 
     edge_reads = onchip_reads = onchip_writes = pu_ops = steps = 0
     src_loaded = dst_loaded = dst_stored = 0

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..algorithms.runner import run_vectorized
 from ..arch.config import NAMED_CONFIGS, Workload
-from ..arch.scheduler import clear_imbalance_cache
+from ..arch.scheduler import IMBALANCE_MEMO
 from ..graph.shards import (run_sharded, sharded_scheduled_counts,
                             sharded_workload, write_rmat_shards)
 from ..perf.batch import scheduled_counts
@@ -96,11 +96,11 @@ def run() -> ExperimentResult:
         config = NAMED_CONFIGS["acc+HyVE"]()
         run_pr = run_vectorized(CORE_ALGORITHM_FACTORIES["PR"](), baseline)
         with temporary_run_cache():
-            clear_imbalance_cache()
+            IMBALANCE_MEMO.clear()
             whole = scheduled_counts(run_pr, Workload(graph=baseline), config)
         start = time.perf_counter()
         with temporary_run_cache():
-            clear_imbalance_cache()
+            IMBALANCE_MEMO.clear()
             merged = sharded_scheduled_counts(
                 run_pr, sharded_workload(store), config,
             )

@@ -17,7 +17,7 @@ from unittest import mock
 
 from ..algorithms import PageRank
 from ..arch.config import HyVEConfig, MemoryTechnology
-from ..arch.machine import AcceleratorMachine, clear_device_memo
+from ..arch.machine import DEVICE_MEMO, AcceleratorMachine
 from ..memory.powergate import PowerGatingPolicy
 from .common import ExperimentResult, geomean, workloads
 
@@ -44,11 +44,11 @@ def perturbed(module_path: str, attribute: str, factor: float):
     module = importlib.import_module(module_path)
     original = getattr(module, attribute)
     with mock.patch.object(module, attribute, original * factor):
-        clear_device_memo()
+        DEVICE_MEMO.clear()
         try:
             yield
         finally:
-            clear_device_memo()
+            DEVICE_MEMO.clear()
 
 
 def opt_over_sd() -> float:

@@ -19,7 +19,6 @@ from .generators import (
 from .datasets import DATASET_ORDER, DATASETS, DatasetSpec, load, load_all
 from .partition import (
     IntervalBlockPartition,
-    clear_partition_cache,
     interval_bounds,
     interval_of,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "load",
     "load_all",
     "IntervalBlockPartition",
-    "clear_partition_cache",
     "interval_bounds",
     "interval_of",
     "HashPlacement",

@@ -14,12 +14,12 @@ a multiplier coprime to it, which is a bijection.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import PartitionError
+from ..memo import BoundedMemo
 from .graph import Graph, VERTEX_DTYPE
 from .partition import IntervalBlockPartition, step_counts_from_blocks
 
@@ -86,19 +86,13 @@ class HashPlacement:
 #: Memoised (partition, placement) pairs keyed on the *source* graph's
 #: fingerprint, so repeated hash partitions skip the O(E) relabel gather
 #: and the relabelled graph's fingerprint pass entirely.
-_HASH_PARTITION_MEMO: OrderedDict[
-    tuple[str, int, int], tuple[IntervalBlockPartition, HashPlacement]
-] = OrderedDict()
-_HASH_PARTITION_MEMO_CAPACITY = 64
+_HASH_PARTITION_MEMO = BoundedMemo("graph.hash_partition", capacity=64)
 
 #: Relabelled graphs keyed on (source fingerprint, multiplier).  The
 #: placement is independent of P, so a P sweep (the PU-count ablation
 #: partitions one graph at six reference widths) relabels and
 #: re-fingerprints once instead of per P.
-_HASHED_GRAPH_MEMO: OrderedDict[
-    tuple[str, int], tuple[Graph, HashPlacement]
-] = OrderedDict()
-_HASHED_GRAPH_MEMO_CAPACITY = 16
+_HASHED_GRAPH_MEMO = BoundedMemo("graph.hashed_graph", capacity=16)
 
 
 def hash_partition(
@@ -114,27 +108,19 @@ def hash_partition(
     sweeping one workload) return the same objects without re-running
     the relabel or the partition argsort.
     """
-    key = (graph.fingerprint(), int(num_intervals), int(multiplier))
-    hit = _HASH_PARTITION_MEMO.get(key)
-    if hit is not None:
-        _HASH_PARTITION_MEMO.move_to_end(key)
-        return hit
-    graph_key = (key[0], int(multiplier))
-    hashed_hit = _HASHED_GRAPH_MEMO.get(graph_key)
-    if hashed_hit is not None:
-        _HASHED_GRAPH_MEMO.move_to_end(graph_key)
-        hashed, placement = hashed_hit
-    else:
+    fingerprint = graph.fingerprint()
+
+    def relabel() -> tuple[Graph, HashPlacement]:
         placement = HashPlacement.for_graph(graph, multiplier)
-        hashed = placement.apply(graph)
-        _HASHED_GRAPH_MEMO[graph_key] = (hashed, placement)
-        while len(_HASHED_GRAPH_MEMO) > _HASHED_GRAPH_MEMO_CAPACITY:
-            _HASHED_GRAPH_MEMO.popitem(last=False)
-    result = (IntervalBlockPartition.cached(hashed, num_intervals), placement)
-    _HASH_PARTITION_MEMO[key] = result
-    while len(_HASH_PARTITION_MEMO) > _HASH_PARTITION_MEMO_CAPACITY:
-        _HASH_PARTITION_MEMO.popitem(last=False)
-    return result
+        return placement.apply(graph), placement
+
+    def partition() -> tuple[IntervalBlockPartition, HashPlacement]:
+        hashed, placement = _HASHED_GRAPH_MEMO.get_or_compute(
+            (fingerprint, int(multiplier)), relabel)
+        return IntervalBlockPartition.cached(hashed, num_intervals), placement
+
+    return _HASH_PARTITION_MEMO.get_or_compute(
+        (fingerprint, int(num_intervals), int(multiplier)), partition)
 
 
 def imbalance(partition: IntervalBlockPartition, num_pus: int) -> float:

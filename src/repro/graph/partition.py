@@ -13,36 +13,21 @@ arrays, so slicing a block is O(1).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ..errors import PartitionError
+from ..memo import BoundedMemo
 from .graph import Graph
 
 #: Memoised partitions, keyed on ``(graph.fingerprint(), P)``.  Building
 #: a partition costs an O(E log E) argsort; every consumer (the blocked
 #: executor, the scheduler's imbalance estimate, the serialisation
 #: helpers) wants the same object, so builds are shared process-wide.
-_PARTITION_MEMO: OrderedDict[tuple[str, int], "IntervalBlockPartition"] = (
-    OrderedDict()
-)
-
-#: Upper bound on memoised partitions; beyond it the least recently used
-#: entry is dropped (each entry holds O(E) permutation state).
-_PARTITION_MEMO_CAPACITY = 64
-
-
-def clear_partition_cache() -> None:
-    """Drop every memoised partition (mainly for tests)."""
-    _PARTITION_MEMO.clear()
-
-
-def partition_cache_len() -> int:
-    """Number of partitions currently memoised."""
-    return len(_PARTITION_MEMO)
+#: Each entry holds O(E) permutation state, hence the small capacity.
+_PARTITION_MEMO = BoundedMemo("graph.partition", capacity=64)
 
 
 def step_counts_from_blocks(
@@ -198,16 +183,10 @@ class IntervalBlockPartition:
         *same object* — the one-shot preprocessing premise of Section
         3.4 (edges are permuted once, then streamed many times).
         """
-        key = (graph.fingerprint(), int(num_intervals))
-        part = _PARTITION_MEMO.get(key)
-        if part is not None:
-            _PARTITION_MEMO.move_to_end(key)
-            return part
-        part = cls.build(graph, num_intervals)
-        _PARTITION_MEMO[key] = part
-        while len(_PARTITION_MEMO) > _PARTITION_MEMO_CAPACITY:
-            _PARTITION_MEMO.popitem(last=False)
-        return part
+        return _PARTITION_MEMO.get_or_compute(
+            (graph.fingerprint(), int(num_intervals)),
+            lambda: cls.build(graph, num_intervals),
+        )
 
     # --- intervals -------------------------------------------------------
 

@@ -679,16 +679,11 @@ def write_rmat_shards(
 def run_sharded(algorithm, store: ShardStore, *, cache: bool = False):
     """Execute ``algorithm`` by streaming the store shard by shard.
 
-    The out-of-core analogue of
-    :func:`~repro.algorithms.runner.run_vectorized`: one full edge
-    sweep per iteration, dispatched as one ``process_edges`` call per
-    shard, so the per-iteration temporaries (gathers, contributions)
-    are O(shard) instead of O(E).  Chunking within an iteration never
-    changes the answer for the min-based algorithms and stays within
-    the 1e-12 accumulation policy for the sum-based ones — the same
-    contract ``run_blocked`` documents — and iteration counts and
-    active-source traces match ``run_vectorized`` exactly for the
-    counts pipeline.
+    The out-of-core sweep of :func:`~repro.algorithms.runner.converge`:
+    one ``process_edges`` call per shard, so the per-iteration
+    temporaries (gathers, contributions) are O(shard) instead of O(E).
+    Iteration counts and active-source traces match ``run_vectorized``
+    exactly, so the counts pipeline cannot tell the two apart.
 
     Algorithms whose ``transform_graph`` returns a *different* graph
     (CC symmetrises, SSSP/SpMV attach weights) fall back to uniform
@@ -701,24 +696,20 @@ def run_sharded(algorithm, store: ShardStore, *, cache: bool = False):
     every downstream engine (``fold_many``, ``run_grid``, sweeps) can
     price paper-scale workloads without an in-memory convergence pass.
     """
-    from ..algorithms.runner import AlgorithmRun
-    from ..errors import ConvergenceError
+    from ..algorithms.runner import converge
 
-    tracer = get_tracer()
     graph = store.as_graph()
-    with tracer.span("shard.preprocess", graph=graph.name,
-                     shards=store.num_shards):
+    with get_tracer().span("preprocess", executor="sharded",
+                           graph=graph.name, shards=store.num_shards):
         streamed = algorithm.transform_graph(graph)
 
     if streamed is graph:
         def chunks():
             for _, s, d, w in store.iter_shards():
                 yield s, d, w
-        chunks_per_sweep = store.num_shards
     else:
         step = max(store.max_shard_edges, 1)
         total = streamed.num_edges
-        chunks_per_sweep = -(-total // step) if total else 0
 
         def chunks():
             for lo in range(0, total, step):
@@ -727,50 +718,17 @@ def run_sharded(algorithm, store: ShardStore, *, cache: bool = False):
                        None if streamed.weights is None
                        else streamed.weights[sel])
 
-    values = algorithm.initial_values(streamed)
-    active = algorithm.initial_active(streamed)
-    active_sources: list[int] = []
-    iterations = 0
-    metrics = obs_metrics.get_metrics()
-    with tracer.span("shard.converge", algorithm=algorithm.name,
-                     graph=streamed.name, shards=store.num_shards):
-        while True:
-            active_sources.append(active)
-            acc = algorithm.iteration_start(values, streamed)
-            for s, d, w in chunks():
-                algorithm.process_edges(values, acc, s, d, w, streamed)
-            metrics.counter(obs_metrics.SHARDS_STREAMED).add(
-                chunks_per_sweep
-            )
-            with tracer.span("apply", iteration=iterations):
-                result = algorithm.iteration_end(
-                    values, acc, streamed, iterations
-                )
-            values = result.values
-            active = result.active_vertices
-            iterations += 1
-            if result.converged:
-                break
-            if iterations > algorithm.max_iterations:
-                raise ConvergenceError(
-                    f"{algorithm.name} exceeded "
-                    f"{algorithm.max_iterations} sweeps"
-                )
-    metrics.counter(obs_metrics.EXECUTOR_EDGES).add(
-        iterations * streamed.num_edges
-    )
-    metrics.histogram(obs_metrics.CONVERGENCE_ITERATIONS).observe(iterations)
-    run = AlgorithmRun(
-        algorithm=algorithm.name,
-        graph_name=streamed.name,
-        values=values,
-        iterations=iterations,
-        num_vertices=streamed.num_vertices,
-        edges_per_iteration=streamed.num_edges,
-        vertex_bits=algorithm.vertex_bits,
-        edge_bits=algorithm.edge_bits,
-        active_sources=tuple(active_sources),
-    )
+    shards_streamed = obs_metrics.get_metrics().counter(
+        obs_metrics.SHARDS_STREAMED)
+
+    def sweep(values, acc, iteration):
+        streamed_chunks = 0
+        for s, d, w in chunks():
+            algorithm.process_edges(values, acc, s, d, w, streamed)
+            streamed_chunks += 1
+        shards_streamed.add(streamed_chunks)
+
+    run = converge(algorithm, streamed, sweep, "sharded")
     if cache:
         from ..perf.cache import get_run_cache
 

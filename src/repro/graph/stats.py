@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import GraphError
+from ..memo import BoundedMemo
 from .graph import Graph
 
 #: GraphR's crossbar dimension; blocks of the adjacency matrix are
@@ -37,30 +38,24 @@ def fixed_block_keys(graph: Graph, block_size: int = CROSSBAR_DIM) -> np.ndarray
 #: Non-empty tile counts memoised on (graph content, tile size): the
 #: GraphR model recomputes N_avg for every (algorithm, dataset) run and
 #: the count costs an O(E) unique pass — pure graph shape, cached.
-_NONEMPTY_MEMO: dict[tuple[str, int], int] = {}
-_NONEMPTY_MEMO_CAPACITY = 256
+_NONEMPTY_MEMO = BoundedMemo("graph.nonempty_blocks", capacity=256)
 
 
 def nonempty_block_count(graph: Graph, block_size: int = CROSSBAR_DIM) -> int:
     """Number of non-empty ``block_size``-square adjacency tiles."""
     if graph.num_edges == 0:
         return 0
-    key = (graph.fingerprint(), int(block_size))
-    cached = _NONEMPTY_MEMO.get(key)
-    if cached is not None:
-        return cached
     # L2: the persistent scalar store — the O(E) unique pass runs in one
     # process and every other (sweep worker, --jobs runner) reads it.
     from ..perf.cache import get_run_cache
 
-    count = int(get_run_cache().get_or_scalar(
-        f"nonempty-blocks-{int(block_size)}", graph,
-        lambda: _count_distinct(fixed_block_keys(graph, block_size)),
-    ))
-    if len(_NONEMPTY_MEMO) >= _NONEMPTY_MEMO_CAPACITY:
-        _NONEMPTY_MEMO.clear()
-    _NONEMPTY_MEMO[key] = count
-    return count
+    return _NONEMPTY_MEMO.get_or_compute(
+        (graph.fingerprint(), int(block_size)),
+        lambda: int(get_run_cache().get_or_scalar(
+            f"nonempty-blocks-{int(block_size)}", graph,
+            lambda: _count_distinct(fixed_block_keys(graph, block_size)),
+        )),
+    )
 
 
 def _count_distinct(keys: np.ndarray) -> int:

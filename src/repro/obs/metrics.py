@@ -60,8 +60,6 @@ FOLD_MANY_CONFIGS = "fold_many_configs"
 TUNE_CONFIGS_PRICED = "tune_configs_priced"
 #: Size of the most recent Pareto frontier the autotuner extracted.
 TUNE_FRONTIER_SIZE = "tune_frontier_size"
-#: Current number of entries in the scheduler's imbalance memo.
-IMBALANCE_CACHE_SIZE = "imbalance_cache_size"
 #: Sweep-point retry attempts beyond the first try.
 SWEEP_POINT_RETRIES = "sweep_point_retries"
 #: Vertex intervals fetched by the hybrid memory controller.

@@ -172,7 +172,7 @@ def bench_sweep_scenario(
                 reference_fold(config, run, counts, workload)
             serial_s += time.perf_counter() - start
 
-            machine_mod.clear_device_memo()
+            machine_mod.DEVICE_MEMO.clear()
             start = time.perf_counter()
             run_grid(algorithm, workload, configs)
             batch_cold_s += time.perf_counter() - start
@@ -259,7 +259,7 @@ def bench_tune_scenario(repeats: int = 3) -> dict:
     try:
         scratch = tempfile.mkdtemp(prefix="repro-bench-tune-")
         set_run_cache(RunCache(directory=scratch))
-        machine_mod.clear_device_memo()
+        machine_mod.DEVICE_MEMO.clear()
         run_cached(algorithm, workload.graph)  # untimed convergence
 
         start = time.perf_counter()
@@ -327,38 +327,6 @@ def bench_tune_scenario(repeats: int = 3) -> dict:
 HOTPATH_EXPERIMENTS = ("fig20", "fig21", "ablation_execution_model")
 
 
-def _clear_hot_memos() -> None:
-    """Drop every process-level memo the hot paths consult.
-
-    A "cold" hot-path pass must pay CSR builds, transform caches,
-    device pricing, fig20 subsampling and partition construction — the
-    costs the memos normally amortise — so clearing them (plus a fresh
-    run-cache directory, which the caller swaps in) reproduces a fresh
-    process without the interpreter start-up noise.
-    """
-    from ..algorithms import runner as runner_mod
-    from ..algorithms import vertex_centric as vc_mod
-    from ..arch import machine as machine_mod
-    from ..experiments import fig20 as fig20_mod
-    # The package re-exports a ``hash_partition`` *function* that
-    # shadows the submodule attribute, so import the module directly.
-    from ..graph.hash_partition import (
-        _HASH_PARTITION_MEMO,
-        _HASHED_GRAPH_MEMO,
-    )
-    from ..graph import partition as partition_mod
-    from ..graph import stats as stats_mod
-
-    vc_mod._CSR_MEMO.clear()
-    runner_mod._TRANSFORM_MEMO.clear()
-    machine_mod.clear_device_memo()
-    fig20_mod._CAPPED_MEMO.clear()
-    stats_mod._NONEMPTY_MEMO.clear()
-    partition_mod._PARTITION_MEMO.clear()
-    _HASH_PARTITION_MEMO.clear()
-    _HASHED_GRAPH_MEMO.clear()
-
-
 def bench_hotpath_scenario(
     num_requests: int = 20_000,
     jobs: int = 2,
@@ -387,6 +355,7 @@ def bench_hotpath_scenario(
                                    generate_requests)
     from ..experiments import ALL_EXPERIMENTS
     from ..graph.generators import rmat
+    from ..memo import clear_all
     from .cache import RunCache, get_run_cache, set_run_cache
 
     previous = get_run_cache()
@@ -396,7 +365,7 @@ def bench_hotpath_scenario(
         set_run_cache(RunCache(
             directory=tempfile.mkdtemp(prefix="repro-bench-hotpath-")
         ))
-        _clear_hot_memos()
+        clear_all()
         for name in HOTPATH_EXPERIMENTS:
             start = time.perf_counter()
             ALL_EXPERIMENTS[name]()
@@ -431,7 +400,7 @@ def bench_hotpath_scenario(
             set_run_cache(RunCache(
                 directory=tempfile.mkdtemp(prefix="repro-bench-hp-ser-")
             ))
-            _clear_hot_memos()
+            clear_all()
             start = time.perf_counter()
             for name in HOTPATH_EXPERIMENTS:
                 ALL_EXPERIMENTS[name]()
@@ -439,7 +408,7 @@ def bench_hotpath_scenario(
             set_run_cache(RunCache(
                 directory=tempfile.mkdtemp(prefix="repro-bench-hp-par-")
             ))
-            _clear_hot_memos()
+            clear_all()
             start = time.perf_counter()
             bench_experiments(list(HOTPATH_EXPERIMENTS), jobs=jobs)
             parallel["jobs_s"] = time.perf_counter() - start
@@ -503,7 +472,7 @@ def bench_outofcore_scenario(
     from ..algorithms.bfs import BFS
     from ..algorithms.pagerank import PageRank
     from ..arch.config import NAMED_CONFIGS
-    from ..arch.scheduler import clear_imbalance_cache
+    from ..arch.scheduler import IMBALANCE_MEMO
     from ..graph.shards import (run_sharded, sharded_scheduled_counts,
                                 sharded_workload, write_rmat_shards)
     from .cache import temporary_run_cache
@@ -539,7 +508,7 @@ def bench_outofcore_scenario(
                 if pr_run is None:
                     pr_run = run
             config = NAMED_CONFIGS["acc+HyVE"]()
-            clear_imbalance_cache()
+            IMBALANCE_MEMO.clear()
             start = time.perf_counter()
             counts = sharded_scheduled_counts(
                 pr_run, sharded_workload(store), config, jobs=jobs,

@@ -51,7 +51,8 @@ from ..errors import StoreError
 from ..graph.graph import Graph
 from ..obs import metrics as obs_metrics
 from ..obs.trace import get_tracer
-from .store import MigrationReport, SQLiteStore, VerifyReport, clean_orphan_tmp
+from .store import (LEGACY_PATTERNS, MigrationReport, SQLiteStore,
+                    VerifyReport, clean_orphan_tmp)
 
 #: Errors that mean "the disk level misbehaved"; every disk operation
 #: degrades to compute-and-carry-on when one of these surfaces.
@@ -78,10 +79,6 @@ CACHE_SALT = "hyve-run-v1"
 
 #: Default bound on in-memory entries.
 DEFAULT_MAX_ENTRIES = 256
-
-#: Glob patterns of the legacy file-per-entry layout (still readable,
-#: migrated by ``repro cache migrate``).
-LEGACY_PATTERNS = ("*.npz", "scalar-*.json", "counts-*.json")
 
 
 def default_cache_dir() -> Path:
@@ -261,39 +258,16 @@ class RunCache:
                 return None
         return self._store_obj
 
-    def _disk_get(self, key: str, kind: str,
-                  legacy_name: str | None = None) -> bytes | None:
-        """Store lookup with transparent legacy-file fallback.
-
-        A legacy hit is adopted into the store (the file is left in
-        place; ``repro cache migrate`` removes it), so repeat lookups
-        come from SQLite.
-        """
+    def _disk_get(self, key: str) -> bytes | None:
+        """Store lookup; a failing store reads as a miss."""
         store = self._disk()
-        if store is not None:
-            try:
-                payload = store.get(key)
-            except _STORE_ERRORS:
-                self.stats.errors += 1
-                payload = None
-            if payload is not None:
-                return payload
-        if legacy_name is None or self.directory is None:
-            return None
-        legacy = self.directory / legacy_name
-        if not legacy.exists():
+        if store is None:
             return None
         try:
-            payload = legacy.read_bytes()
-        except OSError:
+            return store.get(key)
+        except _STORE_ERRORS:
             self.stats.errors += 1
             return None
-        if store is not None:
-            try:
-                store.put(key, payload, kind=kind)
-            except _STORE_ERRORS:
-                self.stats.errors += 1
-        return payload
 
     def _disk_put(self, key: str, payload: bytes, kind: str) -> bool:
         store = self._disk()
@@ -409,7 +383,9 @@ class RunCache:
         from ..algorithms.vertex_centric import (VertexCentricRun,
                                                  run_vertex_centric)
 
-        key = self.key(algorithm, graph, kind="vertex")
+        # Not kind "vertex": those entries predate ``initial_frontier``
+        # and may hold wrong 2-vertex BFS/SSSP results.
+        key = self.key(algorithm, graph, kind="vertex-frontier")
         vc = self._memory.get(key)
         if vc is not None:
             self._memory.move_to_end(key)
@@ -483,8 +459,7 @@ class RunCache:
             return hit
 
         def read_scalar() -> float | None:
-            payload = self._disk_get(key, kind="scalar",
-                                     legacy_name=f"{key}.json")
+            payload = self._disk_get(key)
             if payload is None:
                 return None
             try:
@@ -546,8 +521,7 @@ class RunCache:
             self.stats.counts_memory_hits += 1
             _observe_counts_lookup(hit=True)
             return hit
-        payload = self._disk_get(key, kind="counts",
-                                 legacy_name=f"{key}.json")
+        payload = self._disk_get(key)
         if payload is not None:
             try:
                 record = json.loads(payload.decode("utf-8"))["counts"]
@@ -677,8 +651,7 @@ class RunCache:
     # --- disk level ------------------------------------------------------
 
     def _load(self, key: str) -> tuple[AlgorithmRun, dict] | None:
-        payload = self._disk_get(key, kind="run",
-                                 legacy_name=f"{key}.npz")
+        payload = self._disk_get(key)
         if payload is None:
             return None
         try:
@@ -734,14 +707,6 @@ class RunCache:
 
     # --- maintenance ------------------------------------------------------
 
-    def _legacy_files(self) -> list[Path]:
-        if self.directory is None or not self.directory.exists():
-            return []
-        files: list[Path] = []
-        for pattern in LEGACY_PATTERNS:
-            files.extend(self.directory.glob(pattern))
-        return files
-
     def clear(self, disk: bool = True) -> int:
         """Drop cached entries; returns the number of entries removed.
 
@@ -759,12 +724,6 @@ class RunCache:
                 removed += store.clear()
             except _STORE_ERRORS:
                 self.stats.errors += 1
-        for entry in self._legacy_files():
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
         clean_orphan_tmp(self.directory, max_age_s=None)
         return removed
 
@@ -814,19 +773,17 @@ class RunCache:
                 quarantined = store.quarantine_count()
             except _STORE_ERRORS:
                 self.stats.errors += 1
-        legacy = self._legacy_files()
-        for entry in legacy:
-            try:
-                disk_bytes += entry.stat().st_size
-            except OSError:
-                pass
+        legacy = 0
+        if self.directory is not None:
+            legacy = sum(1 for pattern, _ in LEGACY_PATTERNS
+                         for _ in self.directory.glob(pattern))
         return {
             "directory": str(self.directory) if self.directory else None,
             "backend": "sqlite" if store is not None else None,
             "salt": self.salt,
-            "disk_entries": entries + len(legacy),
+            "disk_entries": entries,
             "disk_bytes": disk_bytes,
-            "legacy_files": len(legacy),
+            "legacy_files": legacy,
             "quarantined": quarantined,
             "max_bytes": self.max_bytes,
             "memory_entries": len(self._memory),

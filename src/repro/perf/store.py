@@ -31,8 +31,8 @@ handle.
 
 Migration from the legacy file layout is one explicit call
 (:meth:`SQLiteStore.migrate_from_files`, surfaced as ``repro cache
-migrate``); unmigrated legacy files are still *read* transparently by
-:class:`~repro.perf.cache.RunCache` as a fallback.  The durability
+migrate``); until it runs, legacy files are not read, so every lookup
+they would have served is a miss.  The durability
 model, quarantine semantics and chaos-testing story are documented in
 docs/robustness.md.
 """
@@ -70,6 +70,15 @@ BUSY_BACKOFF_S = 0.01
 #: Orphaned ``*.tmp`` files older than this are removed on store open;
 #: younger ones may belong to an in-flight legacy writer and are kept.
 TMP_MAX_AGE_S = 600.0
+
+#: The legacy file-per-entry layout as ``(glob pattern, entry kind)``.
+#: Those files are never read as cache entries; ``repro cache migrate``
+#: adopts them and ``repro cache info`` counts the ones left.
+LEGACY_PATTERNS = (
+    ("*.npz", "run"),
+    ("scalar-*.json", "scalar"),
+    ("counts-*.json", "counts"),
+)
 
 _ENTRY_COLUMNS = (
     "key", "kind", "payload", "checksum", "size",
@@ -605,12 +614,7 @@ class SQLiteStore:
         directory = Path(directory) if directory else self.directory
         report = MigrationReport()
         report.tmp_removed = clean_orphan_tmp(directory, max_age_s=None)
-        patterns = (
-            ("*.npz", "run"),
-            ("scalar-*.json", "scalar"),
-            ("counts-*.json", "counts"),
-        )
-        for pattern, kind in patterns:
+        for pattern, kind in LEGACY_PATTERNS:
             for entry in sorted(directory.glob(pattern)):
                 try:
                     payload = entry.read_bytes()

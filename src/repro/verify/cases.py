@@ -42,14 +42,21 @@ ALGORITHMS = ("pr", "bfs", "cc", "sssp", "spmv")
 NUM_PUS_CHOICES = (1, 2, 4, 8)
 SRAM_KB_CHOICES = (64, 256, 2048)
 HIT_RATE_CHOICES = (0.5, 0.85, 1.0)
+#: No named machine puts ReRAM vertex memory behind an on-chip SRAM,
+#: the one place write-verify prices interval stores.
+OFFCHIP_VERTEX_CHOICES = ("reram", "dram")
 #: Reported-scale multipliers are powers of two so the linearity oracle
-#: can demand *exact* IEEE-754 doubling, not approximate closeness.
-SCALE_EXP_CHOICES = (0, 1, 2)
+#: can demand *exact* IEEE-754 doubling; 2^20 reaches paper scale,
+#: where edge memory spans enough chips for bank sparing to engage.
+SCALE_EXP_CHOICES = (0, 1, 2, 20)
+
+#: The optional machine-knob overrides (``None`` keeps the default).
+KNOBS = ("num_pus", "sram_kb", "hash_placement", "region_hit_rate",
+         "offchip_vertex")
 
 _CASE_FIELDS: tuple[str, ...] = (
     "seed", "graph_kind", "num_vertices", "num_edges", "weighted",
-    "machine", "algorithm", "root", "num_pus", "sram_kb",
-    "hash_placement", "region_hit_rate", "vertex_scale_exp",
+    "machine", "algorithm", "root", *KNOBS, "vertex_scale_exp",
     "edge_scale_exp",
 )
 
@@ -72,6 +79,7 @@ class Case:
     sram_kb: int | None = None
     hash_placement: bool | None = None
     region_hit_rate: float | None = None
+    offchip_vertex: str | None = None
     #: Reported scale = synthetic size << exponent (exact powers of 2).
     vertex_scale_exp: int = 0
     edge_scale_exp: int = 0
@@ -140,6 +148,8 @@ class Case:
             overrides["hash_placement"] = self.hash_placement
         if self.region_hit_rate is not None:
             overrides["region_hit_rate"] = self.region_hit_rate
+        if self.offchip_vertex is not None:
+            overrides["offchip_vertex"] = self.offchip_vertex
         if not overrides:
             return base
         return dataclasses.replace(base, **overrides)
@@ -189,8 +199,7 @@ class Case:
     def describe(self) -> str:
         """One-line summary for failure reports."""
         knobs = []
-        for knob in ("num_pus", "sram_kb", "hash_placement",
-                     "region_hit_rate"):
+        for knob in KNOBS:
             value = getattr(self, knob)
             if value is not None:
                 knobs.append(f"{knob}={value}")
@@ -245,7 +254,10 @@ def generate_cases(seed: int, count: int) -> list[Case]:
             sram_kb=maybe(SRAM_KB_CHOICES),
             hash_placement=maybe((True, False), p=0.25),
             region_hit_rate=maybe(HIT_RATE_CHOICES, p=0.25),
-            vertex_scale_exp=int(rng.integers(len(SCALE_EXP_CHOICES))),
-            edge_scale_exp=int(rng.integers(len(SCALE_EXP_CHOICES))),
+            vertex_scale_exp=SCALE_EXP_CHOICES[
+                int(rng.integers(len(SCALE_EXP_CHOICES)))],
+            edge_scale_exp=SCALE_EXP_CHOICES[
+                int(rng.integers(len(SCALE_EXP_CHOICES)))],
+            offchip_vertex=maybe(OFFCHIP_VERTEX_CHOICES, p=0.25),
         ))
     return cases

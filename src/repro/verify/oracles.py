@@ -544,7 +544,7 @@ def shard_identity(case: Case) -> None:
     """
     from pathlib import Path
 
-    from ..arch.scheduler import clear_imbalance_cache
+    from ..arch.scheduler import IMBALANCE_MEMO
     from ..graph.shards import (run_sharded, sharded_scheduled_counts,
                                 write_graph_shards)
 
@@ -575,19 +575,19 @@ def shard_identity(case: Case) -> None:
 
         try:
             with temporary_run_cache():
-                clear_imbalance_cache()
+                IMBALANCE_MEMO.clear()
                 whole = scheduled_counts(
                     vec, case.workload(graph), config
                 )
             with temporary_run_cache():
-                clear_imbalance_cache()
+                IMBALANCE_MEMO.clear()
                 merged = sharded_scheduled_counts(
                     vec, case.workload(mapped), config, store=store,
                 )
         finally:
             # The seeded memo keys on the graph fingerprint; drop it so
             # later oracles compute rather than recall.
-            clear_imbalance_cache()
+            IMBALANCE_MEMO.clear()
         if merged != whole:
             diffs = [
                 f"{f.name}: {getattr(whole, f.name)!r} != "

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
-from .cases import Case
+from .cases import KNOBS, Case
 
 #: Hard ceiling on predicate evaluations per shrink (each evaluation
 #: re-runs the oracle, so this bounds shrinking wall-clock).
@@ -47,8 +47,7 @@ def _candidates(case: Case) -> list[Case]:
         mutate(weighted=False)
     if case.vertex_scale_exp or case.edge_scale_exp:
         mutate(vertex_scale_exp=0, edge_scale_exp=0)
-    for knob in ("num_pus", "sram_kb", "hash_placement",
-                 "region_hit_rate"):
+    for knob in KNOBS:
         if getattr(case, knob) is not None:
             mutate(**{knob: None})
     if case.machine != "acc+HyVE-opt":

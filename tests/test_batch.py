@@ -248,22 +248,3 @@ class TestBatchedSweep:
             expected = reference_run(point.config, PageRank(), workload,
                                      faults)
             _assert_reports_identical(point.report, expected.report)
-
-
-class TestImbalanceMemo:
-    def test_lru_stays_bounded(self):
-        from repro.arch import scheduler
-        from repro.obs import metrics as obs_metrics
-
-        for i in range(scheduler._IMBALANCE_CACHE_CAP + 16):
-            scheduler._imbalance_remember((f"fp{i}", 8, True), 1.0 + i)
-        assert (len(scheduler._IMBALANCE_CACHE)
-                == scheduler._IMBALANCE_CACHE_CAP)
-        gauge = obs_metrics.get_metrics().gauge(
-            obs_metrics.IMBALANCE_CACHE_SIZE
-        )
-        assert gauge.value == len(scheduler._IMBALANCE_CACHE)
-        # Oldest entries were evicted, newest survive.
-        assert ("fp0", 8, True) not in scheduler._IMBALANCE_CACHE
-        last = scheduler._IMBALANCE_CACHE_CAP + 15
-        assert (f"fp{last}", 8, True) in scheduler._IMBALANCE_CACHE

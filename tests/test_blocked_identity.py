@@ -24,7 +24,7 @@ from repro.algorithms import (
     run_vectorized,
 )
 from repro.graph import IntervalBlockPartition
-from repro.graph.partition import clear_partition_cache, partition_cache_len
+from repro.graph.partition import _PARTITION_MEMO
 
 EXACT = [BFS, ConnectedComponents, SSSP]
 SUMMED = [PageRank, SpMV]
@@ -63,28 +63,28 @@ class TestSummedEquivalence:
 
 class TestPartitionMemo:
     def test_cached_returns_same_object(self, small_rmat):
-        clear_partition_cache()
+        _PARTITION_MEMO.clear()
         a = IntervalBlockPartition.cached(small_rmat, 8)
         b = IntervalBlockPartition.cached(small_rmat, 8)
         assert a is b
-        assert partition_cache_len() == 1
+        assert len(_PARTITION_MEMO) == 1
 
     def test_blocked_runs_share_one_partition(self, small_rmat):
         """Two blocked executions at the same P reuse the memoised
         partition: the permute-once preprocessing really happens once."""
-        clear_partition_cache()
+        _PARTITION_MEMO.clear()
         run_blocked(PageRank(), small_rmat, num_intervals=8, num_pus=2)
-        assert partition_cache_len() == 1
+        assert len(_PARTITION_MEMO) == 1
         run_blocked(BFS(0), small_rmat, num_intervals=8, num_pus=4)
         # BFS streams the same (unweighted) graph at the same P: no new
         # partition was built.
-        assert partition_cache_len() == 1
+        assert len(_PARTITION_MEMO) == 1
 
     def test_distinct_p_distinct_entries(self, small_rmat):
-        clear_partition_cache()
+        _PARTITION_MEMO.clear()
         IntervalBlockPartition.cached(small_rmat, 4)
         IntervalBlockPartition.cached(small_rmat, 8)
-        assert partition_cache_len() == 2
+        assert len(_PARTITION_MEMO) == 2
 
     def test_streamed_edges_preserve_multiset(self, small_rmat):
         part = IntervalBlockPartition.cached(small_rmat, 8)

@@ -5,10 +5,9 @@ stream`` and the ``repro trace`` attribution table is part of the user
 interface (people grep it, docs quote it), so it is pinned against
 committed golden files in tests/golden/.  Volatile fragments are
 normalised before comparison: the cache directory path (a tmp dir
-here), the trace output path, the ``imbalance_cache_size`` gauge (a
-process-global LRU whose size depends on what ran earlier in the
-session), and the ``repro stream`` throughput numbers (wall-clock; the
-staleness table around them is deterministic).
+here), the trace output path, and the ``repro stream`` throughput
+numbers (wall-clock; the staleness table around them is
+deterministic).
 
 To regenerate after an intentional output change::
 
@@ -23,9 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from collections import OrderedDict
-
-from repro.arch import scheduler
+from repro.arch.scheduler import IMBALANCE_MEMO
 from repro.cli import main
 from repro.perf.cache import temporary_run_cache
 
@@ -33,14 +30,14 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
-def fresh_imbalance_memo(monkeypatch):
+def fresh_imbalance_memo():
     """A cold process-global imbalance memo.
 
     The memo outlives the hermetic run cache, so whether earlier tests
     warmed it would otherwise leak into cache-miss counters and the
     `estimate_imbalance` span count.
     """
-    monkeypatch.setattr(scheduler, "_IMBALANCE_CACHE", OrderedDict())
+    IMBALANCE_MEMO.clear()
 
 
 def _normalize(text: str) -> str:
@@ -48,8 +45,6 @@ def _normalize(text: str) -> str:
                   text)
     text = re.sub(r"\[trace written to .+? \((\d+) records\)\]",
                   r"[trace written to <TRACE_FILE> (\1 records)]", text)
-    text = re.sub(r"(imbalance_cache_size\s+gauge\s+)\d+", r"\g<1><N>",
-                  text)
     text = re.sub(r"[\d,]+ updates/s \([\d.]+x vs serial",
                   "<RATE> updates/s (<X>x vs serial", text)
     return text

@@ -327,3 +327,31 @@ class TestHotPathObservability:
         assert spans[0]["tags"]["cells"] == 1
         snap = get_metrics().snapshot()
         assert snap[obs_metrics.GRAPHR_FOLD_CONFIGS]["value"] >= 1.0
+
+
+class TestConvergeSpan:
+    @pytest.mark.parametrize("executor", ["vectorized", "blocked",
+                                          "sharded"])
+    def test_each_executor_emits_one_converge_span(self, tmp_path,
+                                                   fresh_obs, executor):
+        from repro.algorithms import run_blocked, run_vectorized
+        from repro.graph.shards import run_sharded, write_graph_shards
+
+        g = rmat(64, 256, seed=5, name="obs-converge")
+        path = tmp_path / "converge.jsonl"
+        get_tracer().start(path)
+        try:
+            if executor == "vectorized":
+                run = run_vectorized(PageRank(), g)
+            elif executor == "blocked":
+                run = run_blocked(PageRank(), g, 4, 2)
+            else:
+                run = run_sharded(PageRank(), write_graph_shards(
+                    g, tmp_path / "store", shard_edges=100))
+        finally:
+            get_tracer().stop()
+        spans = [r for r in read_trace(path) if r["kind"] == "span"]
+        for name in ("converge", "preprocess"):
+            tags = [s["tags"] for s in spans if s["name"] == name]
+            assert [t["executor"] for t in tags] == [executor]
+        assert sum(s["name"] == "apply" for s in spans) == run.iterations

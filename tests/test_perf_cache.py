@@ -1,9 +1,9 @@
 """Tests for the persistent content-addressed run cache.
 
 Covers the two-level (memory LRU + SQLite disk store) cache, key
-derivation from algorithm signatures, the scalar statistic store, the
-legacy file-layout fallback, and the cross-process single-flight
-protocol including dead-owner lock reclaim.
+derivation from algorithm signatures, the scalar statistic store, and
+the cross-process single-flight protocol including dead-owner lock
+reclaim.
 """
 
 import json

@@ -28,7 +28,7 @@ from repro.algorithms import (BFS, ConnectedComponents, PageRank, SSSP,
                               SpMV)
 from repro.algorithms.runner import run_vectorized
 from repro.arch.config import NAMED_CONFIGS, Workload
-from repro.arch.scheduler import (clear_imbalance_cache,
+from repro.arch.scheduler import (IMBALANCE_MEMO,
                                   imbalance_reference_intervals)
 from repro.errors import ShardError
 from repro.graph import generators, rmat
@@ -276,14 +276,14 @@ def test_merged_counts_bit_identical_on_every_machine(graph, store):
     for name, factory in NAMED_CONFIGS.items():
         config = factory()
         with temporary_run_cache():
-            clear_imbalance_cache()
+            IMBALANCE_MEMO.clear()
             whole = scheduled_counts(run, Workload(graph=graph), config)
         with temporary_run_cache():
-            clear_imbalance_cache()
+            IMBALANCE_MEMO.clear()
             merged = sharded_scheduled_counts(
                 run, sharded_workload(store), config
             )
-        clear_imbalance_cache()
+        IMBALANCE_MEMO.clear()
         assert merged == whole, f"counts diverged on {name}"
 
 
@@ -294,14 +294,14 @@ def test_merged_counts_bit_identical_natural_placement(graph, store):
     config = dataclasses.replace(NAMED_CONFIGS["acc+HyVE"](),
                                  hash_placement=False)
     with temporary_run_cache():
-        clear_imbalance_cache()
+        IMBALANCE_MEMO.clear()
         whole = scheduled_counts(run, Workload(graph=graph), config)
     with temporary_run_cache():
-        clear_imbalance_cache()
+        IMBALANCE_MEMO.clear()
         merged = sharded_scheduled_counts(
             run, sharded_workload(store), config
         )
-    clear_imbalance_cache()
+    IMBALANCE_MEMO.clear()
     assert merged == whole
 
 
@@ -309,14 +309,14 @@ def test_merged_counts_bit_identical_with_worker_pool(graph, store):
     run = run_vectorized(PageRank(), graph)
     config = NAMED_CONFIGS["acc+HyVE"]()
     with temporary_run_cache():
-        clear_imbalance_cache()
+        IMBALANCE_MEMO.clear()
         whole = scheduled_counts(run, Workload(graph=graph), config)
     with temporary_run_cache():
-        clear_imbalance_cache()
+        IMBALANCE_MEMO.clear()
         merged = sharded_scheduled_counts(
             run, sharded_workload(store), config, jobs=2
         )
-    clear_imbalance_cache()
+    IMBALANCE_MEMO.clear()
     assert merged == whole
 
 

@@ -331,6 +331,30 @@ class TestMigration:
         again = store.migrate_from_files()
         assert again.migrated == 0
 
+    def test_legacy_file_is_a_miss_until_migrated(self, tmp_path):
+        from repro.graph import rmat
+        from repro.perf.cache import RunCache
+
+        graph = rmat(32, 64, seed=3, name="legacy-probe")
+        source = tmp_path / "source"
+        RunCache(directory=source).get_or_scalar("probe", graph,
+                                                 lambda: 2.5)
+        [key] = SQLiteStore(source).keys(kind="scalar")
+        directory = tmp_path / "cache"
+        directory.mkdir()
+        (directory / f"{key}.json").write_bytes(SQLiteStore(source).get(key))
+
+        before = RunCache(directory=directory)
+        assert before.info()["legacy_files"] == 1
+        assert before.get_or_scalar("probe", graph, lambda: 7.0) == 7.0
+        assert before.stats.misses == 1
+
+        assert RunCache(directory=directory).migrate().migrated == 1
+        after = RunCache(directory=directory)
+        assert after.info()["legacy_files"] == 0
+        assert after.get_or_scalar("probe", graph, lambda: 7.0) == 2.5
+        assert after.stats.disk_hits == 1
+
     def test_batched_sweep_byte_identical_on_migrated_store(
         self, tmp_path
     ):

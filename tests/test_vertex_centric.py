@@ -13,6 +13,7 @@ from repro.algorithms import (
     run_vertex_centric,
 )
 from repro.algorithms.vertex_centric import _changed, _csr, _expand_ranges
+from repro.arch.validation import measure_schedule
 from repro.errors import ConvergenceError
 from repro.graph import Graph, path, rmat, star
 
@@ -34,13 +35,10 @@ def _run_vertex_centric_scalar(algorithm, graph):
     streamed = transform_cached(algorithm, graph)
     indptr, src, dst, weights = _csr(streamed)
     values = algorithm.initial_values(streamed)
-    if (not algorithm.supports_frontier
-            or algorithm.initial_active(streamed) >= streamed.num_vertices):
-        active = np.ones(streamed.num_vertices, dtype=bool)
+    if algorithm.supports_frontier:
+        active = algorithm.initial_frontier(streamed)
     else:
-        uniques, inverse = np.unique(values, return_inverse=True)
-        bulk = np.bincount(inverse).argmax()
-        active = values != uniques[bulk]
+        active = np.ones(streamed.num_vertices, dtype=bool)
 
     edges_examined = 0
     iterations = 0
@@ -107,6 +105,19 @@ class TestEquivalence:
         ec = run_vectorized(factory(), small_rmat)
         np.testing.assert_allclose(vc.run.values, ec.values)
         assert vc.run.iterations == ec.iterations
+
+    @pytest.mark.parametrize("factory", [BFS, SSSP])
+    def test_two_vertex_graph_seeds_the_root(self, factory):
+        """Root 1 of the edge 1->0: the root is the only seed even though
+        its value is as common as the unreached sentinel."""
+        graph = Graph(2, [1], [0])
+        ec = run_vectorized(factory(1), graph)
+        np.testing.assert_array_equal(ec.values, [1, 0])
+        vc = run_vertex_centric(factory(1), graph)
+        np.testing.assert_array_equal(vc.run.values, ec.values)
+        measured = measure_schedule(factory(1), graph, 2, 1)
+        np.testing.assert_array_equal(measured.values, ec.values)
+        assert measured.iterations == ec.iterations
 
     def test_empty_graph(self):
         vc = run_vertex_centric(ConnectedComponents(), Graph.empty(5))
